@@ -135,6 +135,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         variants=variants,
     )
     rows = run_sweep(spec)
+    # before any output, so that a failing kink check leaves no CSV behind
+    kinks = [kink_location(rows, variant) for variant in variants] if args.kink else []
     lines = ["load," + ",".join(variants)]
     for row in rows:
         values = ",".join(f"{row.reductions[v]:.12g}" for v in variants)
@@ -144,11 +146,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.out).write_text(output, encoding="utf-8")
     else:
         sys.stdout.write(output)
-    if args.kink:
-        for variant in variants:
-            location = kink_location(rows, variant)
-            label = "none" if location is None else f"{location:.6g}"
-            print(f"kink[{variant}] = {label}", file=sys.stderr)
+    for variant, location in zip(variants, kinks):
+        label = "none" if location is None else f"{location:.6g}"
+        print(f"kink[{variant}] = {label}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -146,21 +146,44 @@ def op_full_per_node(model: NodePowerModel) -> float:
     )
 
 
+def _where(cond, if_true, if_false):
+    """Float counterpart of numpy.where: the kernel's only branching step.
+
+    Both branches are evaluated, as they are by numpy.where, so the
+    kernel guards its divisions instead of relying on short circuits.
+    """
+    return if_true if cond else if_false
+
+
+def _factor(load, idle_fraction):
+    return load + idle_fraction * (1.0 - load)
+
+
+def _op(site: SiteClass, load, gamma):
+    """Annual operational emissions of all sites of one class at a load."""
+    return site.site_count * _factor(load, gamma) * site.op_full_per_site
+
+
+def _capped_alpha(alpha, hi: SiteClass, load_hi, lo: SiteClass, load_lo, where):
+    busy = hi.site_count * load_hi
+    free = lo.site_count * (1.0 - load_lo)
+    moving = busy != 0.0
+    ratio = free / where(moving, busy, 1.0)
+    # min(alpha, ratio), taking alpha on ties as the builtin min does
+    return where(moving & (ratio < alpha), ratio, alpha)
+
+
+def _shifted(alpha_eff, hi: SiteClass, load_hi, lo: SiteClass, load_lo):
+    new_hi = load_hi * (1.0 - alpha_eff)
+    new_lo = load_lo + alpha_eff * load_hi * hi.site_count / lo.site_count
+    return new_hi, new_lo
+
+
 def operational_factor(load: float, idle_fraction: float) -> float:
     """Fraction of full-load draw actually consumed at a given load."""
     _require(0.0 <= load <= 1.0, "load must be in [0,1]")
     _require(0.0 <= idle_fraction <= 1.0, "idle_fraction must be in [0,1]")
-    return load + idle_fraction * (1.0 - load)
-
-
-def baseline_emissions(hi: SiteClass, lo: SiteClass, gamma: float) -> float:
-    """Total annual emissions with no shifting, kgCO2e."""
-    embodied = hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
-    op_hi = hi.site_count * operational_factor(hi.load, gamma) * hi.op_full_per_site
-    op_lo = lo.site_count * operational_factor(lo.load, gamma) * lo.op_full_per_site
-    # summed in the same order as the shifted-load case, so that a no-op
-    # shift (alpha_eff = 0) reproduces the baseline bit for bit
-    return embodied + op_hi + op_lo
+    return _factor(load, idle_fraction)
 
 
 def effective_alpha(alpha: float, hi: SiteClass, lo: SiteClass) -> float:
@@ -169,21 +192,15 @@ def effective_alpha(alpha: float, hi: SiteClass, lo: SiteClass) -> float:
     Equivalent to clamping min(alpha, free/busy) to [0,1], where
     free = n_lo*(1-load_lo) and busy = n_hi*load_hi.  When the high
     sites are idle (busy == 0) there is nothing to move and alpha is
-    returned unchanged, avoiding the division.
+    returned unchanged.
     """
     _require(0.0 <= alpha <= 1.0, "alpha must be in [0,1]")
-    busy = hi.site_count * hi.load
-    if busy == 0.0:
-        return alpha
-    free = lo.site_count * (1.0 - lo.load)
-    return min(alpha, free / busy)
+    return _capped_alpha(alpha, hi, hi.load, lo, lo.load, _where)
 
 
 def shifted_loads(alpha_eff: float, hi: SiteClass, lo: SiteClass) -> tuple[float, float]:
     """Loads of both classes after moving alpha_eff of the high-side work."""
-    new_hi = hi.load * (1.0 - alpha_eff)
-    new_lo = lo.load + alpha_eff * hi.load * hi.site_count / lo.site_count
-    return new_hi, new_lo
+    return _shifted(alpha_eff, hi, hi.load, lo, lo.load)
 
 
 def shift_overhead(eta: float, alpha_eff: float, hi: SiteClass, lo: SiteClass) -> float:
@@ -197,14 +214,78 @@ def shift_overhead(eta: float, alpha_eff: float, hi: SiteClass, lo: SiteClass) -
     )
 
 
+def _emissions(
+    hi: SiteClass,
+    lo: SiteClass,
+    load_hi,
+    load_lo,
+    gamma: float,
+    alpha: float,
+    beta: float,
+    eta: float,
+    embodied: bool = True,
+    where=_where,
+) -> EmissionsReport:
+    """The emissions kernel: every term of the model, computed once.
+
+    The site classes give counts and per-node values; the loads are
+    passed apart so that they may be Python floats (with where=_where)
+    or numpy arrays (with where=numpy.where), in which case every
+    report field is an array over the loads.  Elementwise the two give
+    the same IEEE operations in the same order, hence identical bits.
+    embodied=False drops embodied carbon from both regimes.
+    """
+    if embodied:
+        embodied_total = (
+            hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
+        )
+    else:
+        embodied_total = 0.0
+    alpha_eff = _capped_alpha(alpha, hi, load_hi, lo, load_lo, where)
+    new_hi, new_lo = _shifted(alpha_eff, hi, load_hi, lo, load_lo)
+    new_lo = where(1.0 < new_lo, 1.0, new_lo)
+    op_hi = _op(hi, new_hi, gamma)
+    op_lo = _op(lo, new_lo, gamma)
+    overhead = shift_overhead(eta, alpha_eff, hi, lo)
+    # the baseline is summed in the same order as the shifted case, so
+    # that a no-op shift (alpha_eff = 0) reproduces it bit for bit
+    baseline = embodied_total + _op(hi, load_hi, gamma) + _op(lo, load_lo, gamma)
+    gls = embodied_total + op_hi + op_lo + overhead
+    # beta*x + (1-beta)*x may round away from x: keep the baseline then
+    blended = where(
+        (beta == 0.0) | (gls == baseline),
+        baseline,
+        beta * gls + (1.0 - beta) * baseline,
+    )
+    # a zero baseline leaves the reduction undefined: NaN, not 0
+    positive = baseline > 0.0
+    reduction = where(
+        positive, (baseline - blended) / where(positive, baseline, 1.0), math.nan
+    )
+    return EmissionsReport(
+        embodied_total=embodied_total,
+        op_hi=op_hi,
+        op_lo=op_lo,
+        overhead=beta * overhead,
+        baseline_total=baseline,
+        gls_total=gls,
+        blended_total=blended,
+        alpha_eff=alpha_eff,
+        reduction=reduction,
+    )
+
+
+_NO_SHIFT = ShiftPolicy(alpha=0.0, beta=0.0)
+
+
+def baseline_emissions(hi: SiteClass, lo: SiteClass, gamma: float) -> float:
+    """Total annual emissions with no shifting, kgCO2e."""
+    return blended_emissions(hi, lo, gamma, _NO_SHIFT).baseline_total
+
+
 def gls_emissions(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> float:
     """Total annual emissions while shifting is active, kgCO2e."""
-    alpha_eff = effective_alpha(policy.alpha, hi, lo)
-    new_hi, new_lo = shifted_loads(alpha_eff, hi, lo)
-    embodied = hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
-    op_hi = hi.site_count * operational_factor(new_hi, gamma) * hi.op_full_per_site
-    op_lo = lo.site_count * operational_factor(min(new_lo, 1.0), gamma) * lo.op_full_per_site
-    return embodied + op_hi + op_lo + shift_overhead(policy.eta, alpha_eff, hi, lo)
+    return blended_emissions(hi, lo, gamma, policy).gls_total
 
 
 def blended_emissions(
@@ -215,35 +296,8 @@ def blended_emissions(
     The blended total weights the shifting and baseline regimes by the
     fraction of the time shifting is possible (beta).
     """
-    alpha_eff = effective_alpha(policy.alpha, hi, lo)
-    new_hi, new_lo = shifted_loads(alpha_eff, hi, lo)
-    new_lo = min(new_lo, 1.0)
-    embodied = hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
-    op_hi = hi.site_count * operational_factor(new_hi, gamma) * hi.op_full_per_site
-    op_lo = lo.site_count * operational_factor(new_lo, gamma) * lo.op_full_per_site
-    overhead_raw = shift_overhead(policy.eta, alpha_eff, hi, lo)
-
-    baseline = baseline_emissions(hi, lo, gamma)
-    gls = embodied + op_hi + op_lo + overhead_raw
-    if policy.beta == 0.0 or gls == baseline:
-        # avoid beta*x + (1-beta)*x rounding away from x
-        blended = baseline
-    else:
-        blended = policy.beta * gls + (1.0 - policy.beta) * baseline
-    if baseline > 0.0:
-        reduction = (baseline - blended) / baseline
-    else:
-        reduction = math.nan
-    return EmissionsReport(
-        embodied_total=embodied,
-        op_hi=op_hi,
-        op_lo=op_lo,
-        overhead=policy.beta * overhead_raw,
-        baseline_total=baseline,
-        gls_total=gls,
-        blended_total=blended,
-        alpha_eff=alpha_eff,
-        reduction=reduction,
+    return _emissions(
+        hi, lo, hi.load, lo.load, gamma, policy.alpha, policy.beta, policy.eta
     )
 
 

@@ -9,6 +9,7 @@ directly, or ``ci_g_per_kwh`` + ``node_power_w`` + ``pue`` to derive it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .model import (
@@ -220,9 +221,12 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 def _number(section: dict[str, tuple[str, int]], key: str) -> float:
     value, lineno = section[key]
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ScenarioError(f"key {key!r}: not a number: {value!r}", lineno) from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"key {key!r}: not a finite number: {value!r}", lineno)
+    return number
 
 
 def _integer(section: dict[str, tuple[str, int]], key: str) -> int:

@@ -10,13 +10,26 @@ own alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import ShiftPolicy, SiteClass, blended_emissions
+import numpy as np
+
+from .model import _emissions, _where
 from .scenario import ScenarioConfig
 
 VARIANTS = ("full", "zero_idle", "zero_embodied", "no_time_constraints")
 SWEEP_PARAMETERS = ("load_both", "load_hi")
+MAX_GRID_POINTS = 1_000_001  # a 1e-6 step over [0,1]
+
+# variant -> (idle power, embodied carbon, time constraints) kept
+_VARIANT_TERMS = {
+    "full": (True, True, True),
+    "zero_idle": (False, True, True),
+    "zero_embodied": (True, False, True),
+    "no_time_constraints": (False, False, False),
+}
+# grid points per kernel call: bounds the kernel's temporary arrays
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -37,18 +50,25 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.swept_parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"swept_parameter must be one of {SWEEP_PARAMETERS}")
-        if self.step <= 0.0:
+        if not self.step > 0.0:
             raise ValueError("step must be > 0")
         if not (0.0 <= self.start <= self.stop <= 1.0):
             raise ValueError("need 0 <= start <= stop <= 1")
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
+        intervals = (self.stop - self.start) / self.step
+        if not (intervals < MAX_GRID_POINTS and round(intervals) < MAX_GRID_POINTS):
+            raise ValueError(
+                f"sweep grid exceeds {MAX_GRID_POINTS:,} points: raise step or narrow the range"
+            )
+
+    def _grid_array(self) -> np.ndarray:
+        count = int(round((self.stop - self.start) / self.step))
+        return np.minimum(self.start + np.arange(count + 1) * self.step, self.stop)
 
     def grid(self) -> list[float]:
-        count = int(round((self.stop - self.start) / self.step))
-        points = [self.start + i * self.step for i in range(count + 1)]
-        return [min(p, self.stop) for p in points]
+        return self._grid_array().tolist()
 
 
 @dataclass(frozen=True)
@@ -59,45 +79,46 @@ class SweepRow:
     reductions: dict[str, float]
 
 
-def _zero_embodied(site: SiteClass) -> SiteClass:
-    return replace(site, embodied_per_node=0.0)
-
-
-def _variant_reduction(
-    hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy, variant: str
-) -> float:
-    if variant in ("zero_idle", "no_time_constraints"):
-        gamma = 0.0
-    if variant in ("zero_embodied", "no_time_constraints"):
-        hi, lo = _zero_embodied(hi), _zero_embodied(lo)
-    if variant == "no_time_constraints":
-        policy = replace(policy, beta=1.0)
-    return blended_emissions(hi, lo, gamma, policy).reduction
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate all requested variants across the load grid.
 
-    Where the baseline vanishes (all toggles zero at load 0) the
-    reduction is reported as its right-hand limit, which for equal-load
-    sweeps equals the constant value on (0, 0.5].
+    Each variant is one kernel call per block of grid points.  Where the
+    baseline vanishes (all toggles zero at load 0) the reduction is
+    reported as its right-hand limit, which for equal-load sweeps equals
+    the constant value on (0, 0.5].
     """
     base = spec.base
-    policy = replace(base.policy, alpha=1.0)
-    rows = []
-    for load in spec.grid():
-        reductions: dict[str, float] = {}
-        for variant in spec.variants:
-            hi = base.hi.with_load(load)
-            lo = base.lo if spec.swept_parameter == "load_hi" else base.lo.with_load(load)
-            value = _variant_reduction(hi, lo, base.gamma, policy, variant)
-            if math.isnan(value) and load == 0.0:
-                eps = 1e-9
-                hi = base.hi.with_load(eps)
-                lo = base.lo if spec.swept_parameter == "load_hi" else base.lo.with_load(eps)
-                value = _variant_reduction(hi, lo, base.gamma, policy, variant)
-            reductions[variant] = value
-        rows.append(SweepRow(load=load, reductions=reductions))
+    fixed_lo = spec.swept_parameter == "load_hi"
+
+    def reduction(variant, load, where):
+        idle, embodied, timed = _VARIANT_TERMS[variant]
+        return _emissions(
+            base.hi,
+            base.lo,
+            load,
+            base.lo.load if fixed_lo else load,
+            base.gamma if idle else 0.0,
+            1.0,  # sweeps shift the whole movable fraction
+            base.policy.beta if timed else 1.0,
+            base.policy.eta,
+            embodied,
+            where,
+        ).reduction
+
+    grid = spec._grid_array()
+    rows: list[SweepRow] = []
+    # overflow gives inf, as with Python floats, without a warning
+    with np.errstate(all="ignore"):
+        for first in range(0, len(grid), _BLOCK):
+            loads = grid[first : first + _BLOCK]
+            block = [SweepRow(load=load, reductions={}) for load in loads.tolist()]
+            for variant in spec.variants:
+                values = reduction(variant, loads, np.where).tolist()
+                if first == 0 and loads[0] == 0.0 and math.isnan(values[0]):
+                    values[0] = reduction(variant, 1e-9, _where)
+                for row, value in zip(block, values):
+                    row.reductions[variant] = value
+            rows.extend(block)
     return rows
 
 
@@ -106,19 +127,18 @@ def kink_location(rows: list[SweepRow], variant: str, tol: float = 1e-9) -> floa
 
     Uses the discrete second difference of the variant's reduction; the
     result is reported at grid resolution.  Returns None when the series
-    has no kink (all second differences below tol).
+    has no kink (all second differences below tol).  The first of equal
+    maxima wins, and a NaN difference never does.
     """
     if len(rows) < 3:
         raise ValueError("kink detection needs at least 3 rows")
-    values = [row.reductions[variant] for row in rows]
-    best_index, best_mag = None, tol
-    for i in range(1, len(values) - 1):
-        mag = abs(values[i + 1] - 2.0 * values[i] + values[i - 1])
-        if mag > best_mag:
-            best_index, best_mag = i, mag
-    if best_index is None:
+    values = np.fromiter((row.reductions[variant] for row in rows), float, len(rows))
+    mags = np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])
+    candidates = np.where(mags > tol, mags, -np.inf)
+    best = int(np.argmax(candidates))
+    if not candidates[best] > tol:
         return None
-    return rows[best_index].load
+    return rows[best + 1].load
 
 
 def years_compensated(reduction: float, annual_growth: float) -> float:

@@ -142,6 +142,14 @@ class TestSweep:
         assert code == EXIT_OK
         assert "kink[no_time_constraints] = 0.5" in err
 
+    def test_kink_needs_three_rows_before_any_output(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "table1_solar", "--from", "0.5", "--to", "0.5", "--kink",
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: kink detection needs at least 3 rows\n"
+
 
 class TestGrowth:
     def test_half_reduction(self, capsys):

@@ -254,3 +254,16 @@ class TestLoadScenario:
         for name in SCENARIO_NAMES:
             config = read_bundled(name)
             assert load_scenario(format_scenario(config)) == config
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize(
+        "line",
+        ["op_kg_per_node_year = 5000", "ci_g_per_kwh = 41", "gamma = 0.3", "beta = 0.8"],
+    )
+    def test_non_finite_number_reports_line(self, line, value):
+        key = line.split(" = ")[0]
+        bad = VALID_SCENARIO.replace(line, f"{key} = {value}")
+        lineno = bad.splitlines().index(f"{key} = {value}") + 1
+        with pytest.raises(ScenarioError, match=rf"^line {lineno}: .*not a finite number") as info:
+            load_scenario(bad)
+        assert info.value.line == lineno

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
+import struct
+from dataclasses import replace
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glshift import (
+    EmissionsReport,
+    ScenarioConfig,
+    ShiftPolicy,
+    SiteClass,
     SweepRow,
     SweepSpec,
     blended_emissions,
@@ -18,7 +27,144 @@ from glshift import (
     run_sweep,
     years_compensated,
 )
-from tests.conftest import read_bundled
+from glshift.cli import main
+from glshift.model import _emissions
+from glshift.sweeps import MAX_GRID_POINTS, VARIANTS
+from tests.conftest import SCENARIO_NAMES, read_bundled
+
+# ------------------------------------------------------------ references
+# The per-point implementations that the kernel and the vectorised code
+# replaced, kept as references: both paths must reproduce them bit for
+# bit.
+
+
+def reference_grid(spec: SweepSpec) -> list[float]:
+    count = int(round((spec.stop - spec.start) / spec.step))
+    points = [spec.start + i * spec.step for i in range(count + 1)]
+    return [min(p, spec.stop) for p in points]
+
+
+def reference_blended(
+    hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy
+) -> EmissionsReport:
+    """The scalar model as written before the kernel, helpers inlined."""
+
+    def factor(load: float) -> float:
+        return load + gamma * (1.0 - load)
+
+    busy = hi.site_count * hi.load
+    if busy == 0.0:
+        alpha_eff = policy.alpha
+    else:
+        alpha_eff = min(policy.alpha, lo.site_count * (1.0 - lo.load) / busy)
+    new_hi = hi.load * (1.0 - alpha_eff)
+    new_lo = min(lo.load + alpha_eff * hi.load * hi.site_count / lo.site_count, 1.0)
+    embodied = hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
+    op_hi = hi.site_count * factor(new_hi) * hi.op_full_per_site
+    op_lo = lo.site_count * factor(new_lo) * lo.op_full_per_site
+    overhead = policy.eta * alpha_eff * (
+        hi.site_count * hi.op_full_per_site + lo.site_count * lo.op_full_per_site
+    )
+    baseline = (
+        embodied
+        + hi.site_count * factor(hi.load) * hi.op_full_per_site
+        + lo.site_count * factor(lo.load) * lo.op_full_per_site
+    )
+    gls = embodied + op_hi + op_lo + overhead
+    if policy.beta == 0.0 or gls == baseline:
+        blended = baseline
+    else:
+        blended = policy.beta * gls + (1.0 - policy.beta) * baseline
+    reduction = (baseline - blended) / baseline if baseline > 0.0 else math.nan
+    return EmissionsReport(
+        embodied, op_hi, op_lo, policy.beta * overhead, baseline, gls, blended, alpha_eff,
+        reduction,
+    )
+
+
+def variant_inputs(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy, variant: str):
+    if variant in ("zero_idle", "no_time_constraints"):
+        gamma = 0.0
+    if variant in ("zero_embodied", "no_time_constraints"):
+        hi = replace(hi, embodied_per_node=0.0)
+        lo = replace(lo, embodied_per_node=0.0)
+    if variant == "no_time_constraints":
+        policy = replace(policy, beta=1.0)
+    return hi, lo, gamma, policy
+
+
+def reference_reduction(
+    hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy, variant: str
+) -> float:
+    return reference_blended(*variant_inputs(hi, lo, gamma, policy, variant)).reduction
+
+
+def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
+    base = spec.base
+    policy = replace(base.policy, alpha=1.0)
+    rows = []
+    for load in reference_grid(spec):
+        reductions = {}
+        for variant in spec.variants:
+            hi = base.hi.with_load(load)
+            lo = base.lo if spec.swept_parameter == "load_hi" else base.lo.with_load(load)
+            value = reference_reduction(hi, lo, base.gamma, policy, variant)
+            if math.isnan(value) and load == 0.0:
+                eps = 1e-9
+                hi = base.hi.with_load(eps)
+                lo = base.lo if spec.swept_parameter == "load_hi" else base.lo.with_load(eps)
+                value = reference_reduction(hi, lo, base.gamma, policy, variant)
+            reductions[variant] = value
+        rows.append(SweepRow(load=load, reductions=reductions))
+    return rows
+
+
+def reference_kink(rows: list[SweepRow], variant: str, tol: float = 1e-9) -> float | None:
+    values = [row.reductions[variant] for row in rows]
+    best_index, best_mag = None, tol
+    for i in range(1, len(values) - 1):
+        mag = abs(values[i + 1] - 2.0 * values[i] + values[i - 1])
+        if mag > best_mag:
+            best_index, best_mag = i, mag
+    if best_index is None:
+        return None
+    return rows[best_index].load
+
+
+def bits(values) -> list[bytes]:
+    return [struct.pack("d", v) for v in values]
+
+
+def sweep_bits(rows: list[SweepRow], variants) -> list[bytes]:
+    return bits([row.load for row in rows]) + [
+        struct.pack("d", row.reductions[v]) for row in rows for v in variants
+    ]
+
+
+def site(sites: int, load: float, embodied: float, op: float) -> SiteClass:
+    return SiteClass(
+        site_count=sites, nodes_per_site=100, load=load, embodied_per_node=embodied,
+        op_full_per_node=op,
+    )
+
+
+def scenario(hi: SiteClass, lo: SiteClass, gamma: float, beta: float, eta: float):
+    return ScenarioConfig("guard", hi, lo, gamma, ShiftPolicy(alpha=1.0, beta=beta, eta=eta))
+
+
+unit = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+per_node = st.floats(0.0, 20_000.0) | st.just(0.0)
+sites = st.builds(
+    site, st.integers(1, 8), unit, per_node, per_node
+)
+configs = st.builds(
+    scenario, sites, sites, unit, unit, st.floats(0.0, 0.99) | st.just(0.0)
+)
+# five high-CI sites onto two low-CI sites at load 0.1: the cap binds
+# above load_hi = 0.36 and the low side saturates (at load_hi = 0.72
+# the unclamped load is 1.0000000000000002)
+SATURATING = scenario(site(5, 0.8, 444.0, 18_978.0), site(2, 0.1, 444.0, 1896.0), 0.3, 0.52, 0.0)
+ALL_ZERO = scenario(site(1, 0.5, 0.0, 1000.0), site(1, 0.5, 0.0, 0.0), 0.0, 0.5, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +225,175 @@ class TestRunSweep:
         assert report.reduction * 100.0 == pytest.approx(4.6, abs=0.3)
 
 
+class TestArrayKernelGuard:
+    """The array kernel and the vectorised sweep against the per-point
+    references, compared as IEEE bit patterns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=configs,
+        param=st.sampled_from(["load_both", "load_hi"]),
+        start=st.floats(0.0, 1.0) | st.just(0.0),
+        span=st.floats(0.0, 1.0),
+        step=st.floats(0.005, 0.5),
+    )
+    @example(config=SATURATING, param="load_hi", start=0.0, span=1.0, step=0.01)
+    @example(config=SATURATING, param="load_both", start=0.0, span=1.0, step=0.0004)
+    @example(config=ALL_ZERO, param="load_both", start=0.0, span=1.0, step=0.05)
+    @example(config=ALL_ZERO, param="load_hi", start=0.0, span=0.5, step=0.1)
+    def test_sweep_matches_per_point_reference(self, config, param, start, span, step):
+        spec = SweepSpec(
+            base=config, swept_parameter=param, start=start,
+            stop=min(1.0, start + span), step=step,
+        )
+        assert bits(spec.grid()) == bits(reference_grid(spec))
+        assert sweep_bits(run_sweep(spec), VARIANTS) == sweep_bits(
+            reference_sweep(spec), VARIANTS
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=configs,
+        alpha=unit,
+        loads=st.lists(st.tuples(unit, unit), min_size=1, max_size=40),
+    )
+    @example(
+        config=SATURATING,
+        alpha=1.0,
+        loads=[(0.0, 0.1), (0.3, 0.1), (0.36, 0.1), (0.5, 0.1), (0.72, 0.1), (1.0, 1.0)],
+    )
+    @example(config=ALL_ZERO, alpha=0.5, loads=[(0.0, 0.0), (0.0, 0.5), (0.5, 0.5)])
+    def test_kernel_fields_match_scalar(self, config, alpha, loads):
+        load_hi = np.array([pair[0] for pair in loads])
+        load_lo = np.array([pair[1] for pair in loads])
+        for variant in VARIANTS:
+            hi, lo, gamma, policy = variant_inputs(
+                config.hi, config.lo, config.gamma, replace(config.policy, alpha=alpha), variant
+            )
+            with np.errstate(all="ignore"):  # Python floats overflow silently too
+                array = _emissions(
+                    hi, lo, load_hi, load_lo, gamma, policy.alpha, policy.beta, policy.eta,
+                    where=np.where,
+                )
+            points = [(hi.with_load(a), lo.with_load(b)) for a, b in loads]
+            scalar = [blended_emissions(h, l, gamma, policy) for h, l in points]
+            reference = [reference_blended(h, l, gamma, policy) for h, l in points]
+            for field in dataclasses.fields(EmissionsReport):
+                expected = bits([getattr(report, field.name) for report in reference])
+                got = np.broadcast_to(getattr(array, field.name), load_hi.shape)
+                assert bits(got.tolist()) == expected, (variant, field.name)
+                assert bits([getattr(r, field.name) for r in scalar]) == expected, (
+                    variant, field.name,
+                )
+
+    def test_examples_reach_every_branch(self):
+        hi, lo = SATURATING.hi, SATURATING.lo
+        bound = blended_emissions(hi.with_load(0.5), lo, 0.3, ShiftPolicy(1.0, 1.0))
+        assert bound.alpha_eff < 1.0
+        # the unclamped low-side load overshoots 1 by rounding
+        busy, free = hi.site_count * 0.72, lo.site_count * (1.0 - lo.load)
+        assert lo.load + free / busy * 0.72 * hi.site_count / lo.site_count > 1.0
+        idle = blended_emissions(hi.with_load(0.0), lo, 0.3, ShiftPolicy(0.7, 1.0))
+        assert idle.alpha_eff == 0.7
+        zero = ALL_ZERO.with_loads(0.0, 0.0)
+        assert math.isnan(blended_emissions(zero.hi, zero.lo, 0.0, zero.policy).reduction)
+
+    def test_sweep_rows_hold_builtin_floats(self):
+        rows = run_sweep(SweepSpec(base=read_bundled("table2_s1"), step=0.25))
+        assert all(type(row.load) is float for row in rows)
+        assert all(type(v) is float for row in rows for v in row.reductions.values())
+
+    def test_scalar_report_holds_builtin_floats(self, scenarios):
+        for config in scenarios.values():
+            report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
+            for field in dataclasses.fields(EmissionsReport):
+                assert type(getattr(report, field.name)) is float, field.name
+
+
+# `gls evaluate <name> --csv --precision full` and the sha256 of
+# `gls sweep <name> --param <param>`, as written before sweeps were
+# vectorised
+EVALUATE_FULL = {
+    "table1_solar": "table1_solar,0.2,0.0,469725.76,2560300.27792,2334653.617408,"
+    "2442964.01445376,4.5829102343247206",
+    "table1_wind": "table1_wind,0.2,0.0,469725.76,2268457.1167999995,2044659.8025280002,"
+    "2147606.56709312,5.3274337351088",
+    "table2_s1": "table2_s1,0.5,0.0,88.8,1197.25,831.815,831.815,30.522864898726247",
+    "table2_s2": "table2_s2,0.24999999999999994,2.8052499999999996,88.8,1053.806,"
+    "910.4372500000001,910.4372500000001,13.604852316270726",
+    "table2_s3": "table2_s3,0.24999999999999994,1.4026249999999998,88.8,1053.806,"
+    "910.4372500000001,982.121625,6.802426158135369",
+    "table2_s4": "table2_s4,0.24999999999999994,1.2957499999999997,88.8,534.538,"
+    "499.78375000000005,499.78375000000005,6.501736078632378",
+    "table2_s5": "table2_s5,0.24999999999999994,0.6478749999999999,88.8,534.538,"
+    "499.78375000000005,517.160875,3.2508680393161944",
+}
+SWEEP_SHA256 = {
+    ("table1_solar", "load_both"): "fab23fe6ae21eaba",
+    ("table1_solar", "load_hi"): "4c311fe067a36c71",
+    ("table1_wind", "load_both"): "30aa99faa1b0d2db",
+    ("table1_wind", "load_hi"): "41747a0e196d8532",
+    ("table2_s1", "load_both"): "de8832fb92687d35",
+    ("table2_s1", "load_hi"): "0aee106868e35d34",
+    ("table2_s2", "load_both"): "3bba67dcf0ee5190",
+    ("table2_s2", "load_hi"): "adc0c0149d730999",
+    ("table2_s3", "load_both"): "7f2359edc2f267a7",
+    ("table2_s3", "load_hi"): "c069f50dc9a805d8",
+    ("table2_s4", "load_both"): "7f7f72c979ef83db",
+    ("table2_s4", "load_hi"): "f509321bab4c89f6",
+    ("table2_s5", "load_both"): "b69175a1c86dccbb",
+    ("table2_s5", "load_hi"): "0c32e54388f77abf",
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_cli_output_byte_identical(name, capsys):
+    assert main(["evaluate", name, "--csv", "--precision", "full"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == EVALUATE_FULL[name]
+    for param in ("load_both", "load_hi"):
+        assert main(["sweep", name, "--param", param]) == 0
+        out = capsys.readouterr().out
+        reference = reference_sweep(SweepSpec(base=read_bundled(name), swept_parameter=param))
+        lines = ["load," + ",".join(VARIANTS)] + [
+            f"{row.load:.6g}," + ",".join(f"{row.reductions[v]:.12g}" for v in VARIANTS)
+            for row in reference
+        ]
+        assert out == "\n".join(lines) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == SWEEP_SHA256[name, param]
+
+
+class TestGridBound:
+    def test_largest_grid_accepted(self):
+        spec = SweepSpec(base=read_bundled("table2_s1"), step=1.0 / (MAX_GRID_POINTS - 1))
+        assert spec.step > 0.0  # constructed only: the grid itself is not built
+
+    @pytest.mark.parametrize("step", [1e-12, 5e-324, 0.9 / (MAX_GRID_POINTS - 1)])
+    def test_larger_grid_rejected_in_one_line(self, step):
+        with pytest.raises(ValueError, match="sweep grid exceeds") as info:
+            SweepSpec(base=read_bundled("table2_s1"), step=step)
+        assert "\n" not in str(info.value)
+
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="step must be > 0"):
+            SweepSpec(base=read_bundled("table2_s1"), step=math.nan)
+
+
 class TestKinkLocation:
+    @given(
+        values=st.lists(
+            st.floats(-1e6, 1e6) | st.sampled_from([0.0, 0.25, 1.0, math.nan]),
+            min_size=3,
+            max_size=40,
+        ),
+        tol=st.sampled_from([1e-9, 0.0, 0.5, -1.0, math.nan]),
+    )
+    @example(values=[0.0, 1.0, 0.0, 1.0, 0.0], tol=1e-9)  # ties: the first maximum wins
+    @example(values=[0.0, math.nan, 0.0, 0.0, 5.0], tol=1e-9)  # NaN never wins
+    @example(values=[0.0, 0.0, 1e-9, 0.0], tol=1e-9)  # at tol: no kink
+    def test_matches_per_point_reference(self, values, tol):
+        rows = [SweepRow(load=i / 64.0, reductions={"full": v}) for i, v in enumerate(values)]
+        assert kink_location(rows, "full", tol) == reference_kink(rows, "full", tol)
+
     def test_equal_load_sweep_kinks_at_half(self, ai_solar_rows):
         assert kink_location(ai_solar_rows, "no_time_constraints") == pytest.approx(0.5)
 

@@ -6,16 +6,9 @@ from .model import (
     NodePowerModel,
     ShiftPolicy,
     SiteClass,
-    baseline_emissions,
     blended_emissions,
-    effective_alpha,
-    gls_emissions,
     ideal_reduction,
-    node_annual_energy,
     op_full_per_node,
-    operational_factor,
-    shift_overhead,
-    shifted_loads,
 )
 from .scenario import (
     RegionProfile,
@@ -37,7 +30,7 @@ from .sweeps import (
     run_sweep,
     years_compensated,
 )
-from .trace import TraceSpec, TwoPoint, Uniform, compare_with_means, evaluate_trace
+from .trace import TraceSpec, TwoPoint, Uniform, compare_with_means
 
 __version__ = "0.1.0"
 
@@ -55,26 +48,18 @@ __all__ = [
     "TraceSpec",
     "TwoPoint",
     "Uniform",
-    "baseline_emissions",
     "blended_emissions",
     "capacity_projection",
     "compare_with_means",
-    "effective_alpha",
-    "evaluate_trace",
     "format_scenario",
     "fossil_ci_backout",
-    "gls_emissions",
     "ideal_reduction",
     "kink_location",
     "load_scenario",
     "mean_fossil_ci",
-    "node_annual_energy",
     "nodes_from_power_budget",
     "op_full_per_node",
-    "operational_factor",
     "run_sweep",
-    "shift_overhead",
-    "shifted_loads",
     "solar_beta",
     "wind_beta",
     "years_compensated",

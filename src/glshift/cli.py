@@ -12,7 +12,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from .model import ModelError, blended_emissions
+from .model import EmissionsReport, ModelError, blended_emissions
 from .scenario import ScenarioConfig, ScenarioError, load_scenario
 from .sweeps import VARIANTS, SweepSpec, kink_location, run_sweep, years_compensated
 from .trace import TraceSpec, Uniform, compare_with_means
@@ -56,10 +56,11 @@ def _read_scenario(path_arg: str) -> ScenarioConfig:
     return load_scenario(path.read_text(encoding="utf-8"))
 
 
-def build_report_table(config: ScenarioConfig) -> list[tuple[str, str]]:
+def build_report_table(
+    config: ScenarioConfig, report: EmissionsReport
+) -> list[tuple[str, str]]:
     """Rows of the evaluation report: parameters first, then results."""
-    report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
-    rows = [
+    return [
         ("Scenario", config.name),
         ("Nodes per site (hi/lo)", f"{config.hi.nodes_per_site:,} / {config.lo.nodes_per_site:,}"),
         ("Sites, high-CI", f"{config.hi.site_count}"),
@@ -79,7 +80,6 @@ def build_report_table(config: ScenarioConfig) -> list[tuple[str, str]]:
         ("Geographic load shifting (tCO2e/y)", f"{tonnes(report.blended_total):,}"),
         ("Emission reduction (%)", f"{report.reduction * 100.0:.1f}%"),
     ]
-    return rows
 
 
 def render_table(rows: list[tuple[str, str]]) -> str:
@@ -87,8 +87,7 @@ def render_table(rows: list[tuple[str, str]]) -> str:
     return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
 
 
-def _evaluate_csv(config: ScenarioConfig, full_precision: bool) -> str:
-    report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
+def _evaluate_csv(config: ScenarioConfig, report: EmissionsReport, full_precision: bool) -> str:
     if full_precision:
         fields = [
             config.name,
@@ -116,10 +115,11 @@ def _evaluate_csv(config: ScenarioConfig, full_precision: bool) -> str:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _read_scenario(args.scenario)
+    report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
     if args.csv:
-        sys.stdout.write(_evaluate_csv(config, args.precision == "full"))
+        sys.stdout.write(_evaluate_csv(config, report, args.precision == "full"))
     else:
-        print(render_table(build_report_table(config)))
+        print(render_table(build_report_table(config, report)))
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ at construction, so downstream code never re-checks ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 HOURS_PER_YEAR = 24 * 365  # fixed 8,760 h convention, no leap years
 
@@ -81,9 +81,6 @@ class SiteClass:
         """Full-load annual operational emissions of one whole site."""
         return self.op_full_per_node * self.nodes_per_site
 
-    def with_load(self, load: float) -> "SiteClass":
-        return replace(self, load=load)
-
 
 @dataclass(frozen=True)
 class ShiftPolicy:
@@ -125,18 +122,13 @@ class EmissionsReport:
     reduction: float
 
 
-def node_annual_energy(model: NodePowerModel) -> float:
-    """Year-average energy use of one always-active node, in kWh."""
-    return model.active_power * HOURS_PER_YEAR / 1000.0
-
-
 def op_full_per_node(model: NodePowerModel) -> float:
     """Annual operational emissions of one node at full load, kgCO2e.
 
     Includes the PUE and the network overhead factor; carbon intensity
     is g/kWh, hence the /1000.
     """
-    energy = node_annual_energy(model)
+    energy = model.active_power * HOURS_PER_YEAR / 1000.0  # kWh per year
     return (
         energy
         * (1.0 + model.network_overhead_fraction)
@@ -155,63 +147,19 @@ def _where(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
-def _factor(load, idle_fraction):
-    return load + idle_fraction * (1.0 - load)
-
-
 def _op(site: SiteClass, load, gamma):
     """Annual operational emissions of all sites of one class at a load."""
-    return site.site_count * _factor(load, gamma) * site.op_full_per_site
+    return site.site_count * (load + gamma * (1.0 - load)) * site.op_full_per_site
 
 
 def _capped_alpha(alpha, hi: SiteClass, load_hi, lo: SiteClass, load_lo, where):
+    """min(alpha, free/busy); alpha when the high sites are idle."""
     busy = hi.site_count * load_hi
     free = lo.site_count * (1.0 - load_lo)
     moving = busy != 0.0
     ratio = free / where(moving, busy, 1.0)
     # min(alpha, ratio), taking alpha on ties as the builtin min does
     return where(moving & (ratio < alpha), ratio, alpha)
-
-
-def _shifted(alpha_eff, hi: SiteClass, load_hi, lo: SiteClass, load_lo):
-    new_hi = load_hi * (1.0 - alpha_eff)
-    new_lo = load_lo + alpha_eff * load_hi * hi.site_count / lo.site_count
-    return new_hi, new_lo
-
-
-def operational_factor(load: float, idle_fraction: float) -> float:
-    """Fraction of full-load draw actually consumed at a given load."""
-    _require(0.0 <= load <= 1.0, "load must be in [0,1]")
-    _require(0.0 <= idle_fraction <= 1.0, "idle_fraction must be in [0,1]")
-    return _factor(load, idle_fraction)
-
-
-def effective_alpha(alpha: float, hi: SiteClass, lo: SiteClass) -> float:
-    """Movable fraction after capping by free capacity at the low sites.
-
-    Equivalent to clamping min(alpha, free/busy) to [0,1], where
-    free = n_lo*(1-load_lo) and busy = n_hi*load_hi.  When the high
-    sites are idle (busy == 0) there is nothing to move and alpha is
-    returned unchanged.
-    """
-    _require(0.0 <= alpha <= 1.0, "alpha must be in [0,1]")
-    return _capped_alpha(alpha, hi, hi.load, lo, lo.load, _where)
-
-
-def shifted_loads(alpha_eff: float, hi: SiteClass, lo: SiteClass) -> tuple[float, float]:
-    """Loads of both classes after moving alpha_eff of the high-side work."""
-    return _shifted(alpha_eff, hi, hi.load, lo, lo.load)
-
-
-def shift_overhead(eta: float, alpha_eff: float, hi: SiteClass, lo: SiteClass) -> float:
-    """Annual emissions cost of moving the work, kgCO2e.
-
-    Proportional to the amount moved and to the full-load operational
-    emissions of all sites involved.
-    """
-    return eta * alpha_eff * (
-        hi.site_count * hi.op_full_per_site + lo.site_count * lo.op_full_per_site
-    )
 
 
 def _emissions(
@@ -242,11 +190,16 @@ def _emissions(
     else:
         embodied_total = 0.0
     alpha_eff = _capped_alpha(alpha, hi, load_hi, lo, load_lo, where)
-    new_hi, new_lo = _shifted(alpha_eff, hi, load_hi, lo, load_lo)
+    new_hi = load_hi * (1.0 - alpha_eff)
+    new_lo = load_lo + alpha_eff * load_hi * hi.site_count / lo.site_count
     new_lo = where(1.0 < new_lo, 1.0, new_lo)
     op_hi = _op(hi, new_hi, gamma)
     op_lo = _op(lo, new_lo, gamma)
-    overhead = shift_overhead(eta, alpha_eff, hi, lo)
+    # moving work costs eta per unit moved, on the full-load operational
+    # emissions of all sites involved
+    overhead = eta * alpha_eff * (
+        hi.site_count * hi.op_full_per_site + lo.site_count * lo.op_full_per_site
+    )
     # the baseline is summed in the same order as the shifted case, so
     # that a no-op shift (alpha_eff = 0) reproduces it bit for bit
     baseline = embodied_total + _op(hi, load_hi, gamma) + _op(lo, load_lo, gamma)
@@ -273,19 +226,6 @@ def _emissions(
         alpha_eff=alpha_eff,
         reduction=reduction,
     )
-
-
-_NO_SHIFT = ShiftPolicy(alpha=0.0, beta=0.0)
-
-
-def baseline_emissions(hi: SiteClass, lo: SiteClass, gamma: float) -> float:
-    """Total annual emissions with no shifting, kgCO2e."""
-    return blended_emissions(hi, lo, gamma, _NO_SHIFT).baseline_total
-
-
-def gls_emissions(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> float:
-    """Total annual emissions while shifting is active, kgCO2e."""
-    return blended_emissions(hi, lo, gamma, policy).gls_total
 
 
 def blended_emissions(

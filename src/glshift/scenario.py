@@ -10,7 +10,7 @@ directly, or ``ci_g_per_kwh`` + ``node_power_w`` + ``pue`` to derive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (
     ModelError,
@@ -70,18 +70,10 @@ class ScenarioConfig:
     lo: SiteClass
     gamma: float
     policy: ShiftPolicy
-    hi_power: NodePowerModel | None = None
-    lo_power: NodePowerModel | None = None
-    notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.gamma <= 1.0):
             raise ScenarioError("gamma must be in [0,1]")
-
-    def with_loads(self, load_hi: float, load_lo: float) -> "ScenarioConfig":
-        return replace(
-            self, hi=self.hi.with_load(load_hi), lo=self.lo.with_load(load_lo)
-        )
 
 
 def fossil_ci_backout(profile: RegionProfile) -> float:
@@ -188,6 +180,17 @@ _REQUIRED_KEYS = {
     "shift": {"alpha", "beta"},
 }
 
+# model field -> scenario file key, where the two names differ
+_FILE_KEYS = {
+    "site_count": "sites",
+    "nodes_per_site": "nodes",
+    "embodied_per_node": "embodied_kg_per_node_year",
+    "op_full_per_node": "op_kg_per_node_year",
+    "active_power": "node_power_w",
+    "carbon_intensity": "ci_g_per_kwh",
+    "network_overhead_fraction": "nu",
+}
+
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
@@ -232,51 +235,69 @@ def _number(section: dict[str, tuple[str, int]], key: str) -> float:
 def _integer(section: dict[str, tuple[str, int]], key: str) -> int:
     value, lineno = section[key]
     try:
-        return int(value)
+        number = int(value)
+        float(number)  # counts enter float arithmetic
     except ValueError:
         raise ScenarioError(f"key {key!r}: not an integer: {value!r}", lineno) from None
+    except OverflowError:
+        raise ScenarioError(f"key {key!r}: integer too large for a float", lineno) from None
+    return number
+
+
+def _range_error(exc: ModelError, *sections: dict[str, tuple[str, int]]) -> ScenarioError:
+    """A model range error, naming the file key and its line."""
+    field, _, requirement = str(exc).partition(" ")
+    key = _FILE_KEYS.get(field, field)
+    for section in sections:
+        if key in section:
+            return ScenarioError(f"{key} {requirement}", section[key][1])
+    return ScenarioError(str(exc))
 
 
 def _site_class(
     name: str,
     section: dict[str, tuple[str, int]],
+    common: dict[str, tuple[str, int]],
     embodied: float,
     gamma: float,
-) -> tuple[SiteClass, NodePowerModel | None]:
+) -> SiteClass:
     direct = "op_kg_per_node_year" in section
     derived_keys = {"ci_g_per_kwh", "node_power_w", "pue"} & section.keys()
-    power: NodePowerModel | None = None
     if direct and derived_keys:
         raise ScenarioError(
             f"section [{name}]: give op_kg_per_node_year or a power model, not both"
         )
-    if direct:
-        op = _number(section, "op_kg_per_node_year")
-    else:
+    if not direct:
         missing = {"ci_g_per_kwh", "node_power_w", "pue"} - section.keys()
         if missing:
             raise ScenarioError(
                 f"section [{name}]: missing {', '.join(sorted(missing))} "
                 "(or give op_kg_per_node_year)"
             )
-        power = NodePowerModel(
-            active_power=_number(section, "node_power_w"),
-            idle_fraction=gamma,
-            pue=_number(section, "pue"),
-            carbon_intensity=_number(section, "ci_g_per_kwh"),
-            network_overhead_fraction=(
-                _number(section, "nu") if "nu" in section else 0.0
-            ),
+    try:
+        if direct:
+            op = _number(section, "op_kg_per_node_year")
+        else:
+            op = op_full_per_node(
+                NodePowerModel(
+                    active_power=_number(section, "node_power_w"),
+                    idle_fraction=gamma,
+                    pue=_number(section, "pue"),
+                    carbon_intensity=_number(section, "ci_g_per_kwh"),
+                    network_overhead_fraction=(
+                        _number(section, "nu") if "nu" in section else 0.0
+                    ),
+                )
+            )
+        return SiteClass(
+            site_count=_integer(section, "sites"),
+            nodes_per_site=_integer(section, "nodes"),
+            load=_number(section, "load"),
+            embodied_per_node=embodied,
+            op_full_per_node=op,
         )
-        op = op_full_per_node(power)
-    site = SiteClass(
-        site_count=_integer(section, "sites"),
-        nodes_per_site=_integer(section, "nodes"),
-        load=_number(section, "load"),
-        embodied_per_node=embodied,
-        op_full_per_node=op,
-    )
-    return site, power
+    except ModelError as exc:
+        raise _range_error(exc, section, common) from exc
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -296,47 +317,33 @@ def load_scenario(text: str) -> ScenarioConfig:
                 + ", ".join(sorted(missing))
             )
 
-    name = sections["scenario"]["name"][0]
-    gamma = _number(sections["common"], "gamma")
+    common, shift = sections["common"], sections["shift"]
+    gamma = _number(common, "gamma")
     if not (0.0 <= gamma <= 1.0):
-        raise ScenarioError(
-            "gamma must be in [0,1]", sections["common"]["gamma"][1]
-        )
-    embodied = _number(sections["common"], "embodied_kg_per_node_year")
+        raise ScenarioError("gamma must be in [0,1]", common["gamma"][1])
+    embodied = _number(common, "embodied_kg_per_node_year")
 
     try:
         policy = ShiftPolicy(
-            alpha=_number(sections["shift"], "alpha"),
-            beta=_number(sections["shift"], "beta"),
-            eta=_number(sections["shift"], "eta") if "eta" in sections["shift"] else 0.0,
+            alpha=_number(shift, "alpha"),
+            beta=_number(shift, "beta"),
+            eta=_number(shift, "eta") if "eta" in shift else 0.0,
         )
-        hi, hi_power = _site_class("hi", sections["hi"], embodied, gamma)
-        lo, lo_power = _site_class("lo", sections["lo"], embodied, gamma)
     except ModelError as exc:
-        raise ScenarioError(str(exc)) from exc
-
-    notes = []
-    if hi_power is not None:
-        notes.append("hi op_full_per_node derived from power model")
-    if lo_power is not None:
-        notes.append("lo op_full_per_node derived from power model")
+        raise _range_error(exc, shift) from exc
     return ScenarioConfig(
-        name=name,
-        hi=hi,
-        lo=lo,
+        name=sections["scenario"]["name"][0],
+        hi=_site_class("hi", sections["hi"], common, embodied, gamma),
+        lo=_site_class("lo", sections["lo"], common, embodied, gamma),
         gamma=gamma,
         policy=policy,
-        hi_power=hi_power,
-        lo_power=lo_power,
-        notes=tuple(notes),
     )
 
 
 def format_scenario(config: ScenarioConfig) -> str:
     """Serialise a config back to the scenario file format.
 
-    Round-trips: load_scenario(format_scenario(c)) equals c, except that
-    derived per-node values are written out directly.
+    Round-trips: load_scenario(format_scenario(c)) equals c.
     """
     lines = [
         "[scenario]",

@@ -63,12 +63,9 @@ class SweepSpec:
                 f"sweep grid exceeds {MAX_GRID_POINTS:,} points: raise step or narrow the range"
             )
 
-    def _grid_array(self) -> np.ndarray:
+    def grid(self) -> np.ndarray:
         count = int(round((self.stop - self.start) / self.step))
         return np.minimum(self.start + np.arange(count + 1) * self.step, self.stop)
-
-    def grid(self) -> list[float]:
-        return self._grid_array().tolist()
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             where,
         ).reduction
 
-    grid = spec._grid_array()
+    grid = spec.grid()
     rows: list[SweepRow] = []
     # overflow gives inf, as with Python floats, without a warning
     with np.errstate(all="ignore"):

@@ -104,15 +104,6 @@ class TraceSpec:
         return loads, cis
 
 
-def _step_rates(
-    spec: TraceSpec, gamma: float, embodied: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    loads, cis = spec.draw()
-    a, b = 1.0 - gamma, gamma
-    rates = a * loads * cis + b * cis + embodied
-    return loads, cis, rates
-
-
 def closed_form_total(
     load_mean: float, ci_mean: float, gamma: float, embodied: float
 ) -> float:
@@ -121,25 +112,17 @@ def closed_form_total(
     return a * load_mean * ci_mean + b * ci_mean + embodied
 
 
-def evaluate_trace(spec: TraceSpec, gamma: float, embodied: float) -> float:
-    """Time-integrated annual total over the generated traces, kg/y.
-
-    Each step carries an equal share of the year; the embodied term is
-    constant in time.
-    """
-    _, _, rates = _step_rates(spec, gamma, embodied)
-    return float(np.mean(rates))
-
-
 @dataclass(frozen=True)
 class TraceComparison:
     """Trace total versus the closed form, with the covariance breakdown.
 
-    sample_mean_total plugs the realised sample means into the closed
-    form; its gap to trace_total is exactly (1-gamma) times the sample
-    covariance of load and rate.  z_score measures the gap between the
-    trace total and the closed form at the distribution means, in units
-    of the trace total's standard error.
+    trace_total is the time-integrated annual total, kg/y: each step
+    carries an equal share of the year, and the embodied term is
+    constant in time.  sample_mean_total plugs the realised sample means
+    into the closed form; its gap to trace_total is exactly (1-gamma)
+    times the sample covariance of load and rate.  z_score measures the
+    gap between the trace total and the closed form at the distribution
+    means, in units of the trace total's standard error.
     """
 
     trace_total: float
@@ -149,17 +132,15 @@ class TraceComparison:
     sample_covariance: float
 
     @property
-    def distribution_delta(self) -> float:
-        return self.trace_total - self.closed_form_total
-
-    @property
     def sample_mean_delta(self) -> float:
         return self.trace_total - self.sample_mean_total
 
 
 def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceComparison:
     """Compare the time-stepped total against closed-form evaluations."""
-    loads, cis, rates = _step_rates(spec, gamma, embodied)
+    loads, cis = spec.draw()
+    a, b = 1.0 - gamma, gamma
+    rates = a * loads * cis + b * cis + embodied
     trace_total = float(np.mean(rates))
     closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
     sample_mean = closed_form_total(

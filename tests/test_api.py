@@ -1,0 +1,69 @@
+"""The public API of the package, pinned name by name."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import glshift
+import glshift.cli
+
+# growing or shrinking the package root's API is a deliberate change:
+# edit this list, the README's "Python API" section and the CHANGES entry
+PUBLIC_API = [
+    "EmissionsReport",
+    "ModelError",
+    "NodePowerModel",
+    "RegionProfile",
+    "ScenarioConfig",
+    "ScenarioError",
+    "ShiftPolicy",
+    "SiteClass",
+    "SweepRow",
+    "SweepSpec",
+    "TraceSpec",
+    "TwoPoint",
+    "Uniform",
+    "blended_emissions",
+    "capacity_projection",
+    "compare_with_means",
+    "format_scenario",
+    "fossil_ci_backout",
+    "ideal_reduction",
+    "kink_location",
+    "load_scenario",
+    "mean_fossil_ci",
+    "nodes_from_power_budget",
+    "op_full_per_node",
+    "run_sweep",
+    "solar_beta",
+    "wind_beta",
+    "years_compensated",
+]
+
+
+def benchmark_tracing():
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_all_is_pinned():
+    assert sorted(glshift.__all__) == PUBLIC_API
+
+
+def test_every_name_resolves():
+    for name in PUBLIC_API:
+        assert hasattr(glshift, name), name
+
+
+def test_benchmark_names_are_exported():
+    tracing = benchmark_tracing()
+    names = vars(tracing.public_api())
+    assert len(names) == 10
+    assert set(names) <= set(PUBLIC_API)
+    # the traced benchmark patches these names in the cli module
+    for name in tracing.API_NAMES:
+        assert getattr(glshift.cli, name) is getattr(glshift, name), name

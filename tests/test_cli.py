@@ -98,6 +98,16 @@ class TestEvaluate:
         assert code == EXIT_VALIDATION
         assert "missing required section" in err
 
+    def test_count_beyond_float_range_is_validation_error(self, tmp_path, capsys):
+        text = builtin_scenario_path("table2_s1").read_text(encoding="utf-8")
+        path = tmp_path / "huge.scenario"
+        path.write_text(text.replace("nodes = 100", "nodes = 1" + "0" * 400, 1), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: line 8: key 'nodes'")
+        assert err.count("\n") == 1
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "evaluate", "table1_solar", "--csv")
         _, second, _ = run(capsys, "evaluate", "table1_solar", "--csv")

@@ -13,16 +13,9 @@ from glshift import (
     NodePowerModel,
     ShiftPolicy,
     SiteClass,
-    baseline_emissions,
     blended_emissions,
-    effective_alpha,
-    gls_emissions,
     ideal_reduction,
-    node_annual_energy,
     op_full_per_node,
-    operational_factor,
-    shift_overhead,
-    shifted_loads,
 )
 
 
@@ -44,20 +37,29 @@ def site(
 
 HPC_HI = site(1.0, 10831.0)
 HPC_LO = site(0.5, 390.0)
+NO_SHIFT = ShiftPolicy(alpha=0.0, beta=0.0)
+
+
+def unit_site(load: float, sites: int = 1) -> SiteClass:
+    """One node per site at unit full-load op and no embodied carbon:
+    with gamma = 0 the report's op_hi/op_lo are site_count times the load."""
+    return site(load, 1.0, sites=sites, nodes=1, embodied=0.0)
 
 
 class TestNodeEnergy:
+    """At pue 1 and 1000 g/kWh, op_full_per_node is the node's annual kWh."""
+
     def test_dgx_class_node(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 41.0)
-        assert node_annual_energy(model) == pytest.approx(39858.0)
+        model = NodePowerModel(4550.0, 0.3, 1.0, 1000.0)
+        assert op_full_per_node(model) == pytest.approx(39858.0)
 
     def test_unit_power(self):
-        model = NodePowerModel(1000.0, 0.0, 1.0, 0.0)
-        assert node_annual_energy(model) == pytest.approx(8760.0)
+        model = NodePowerModel(1000.0, 0.0, 1.0, 1000.0)
+        assert op_full_per_node(model) == pytest.approx(8760.0)
 
     def test_hpc_node(self):
-        model = NodePowerModel(1200.0, 0.3, 1.1, 36.0)
-        assert node_annual_energy(model) == pytest.approx(10512.0)
+        model = NodePowerModel(1200.0, 0.3, 1.0, 1000.0)
+        assert op_full_per_node(model) == pytest.approx(10512.0)
 
 
 class TestOpFullPerNode:
@@ -88,57 +90,63 @@ class TestOpFullPerNode:
 
 
 class TestOperationalFactor:
+    """Without a shift, op_hi of a unit site is its operational factor."""
+
     def test_partial_load(self):
-        assert operational_factor(0.83, 0.30) == pytest.approx(0.881)
+        report = blended_emissions(unit_site(0.83), unit_site(0.5), 0.30, NO_SHIFT)
+        assert report.op_hi == pytest.approx(0.881)
 
     def test_full_load(self):
-        assert operational_factor(1.0, 0.7) == 1.0
+        report = blended_emissions(unit_site(1.0), unit_site(0.5), 0.7, NO_SHIFT)
+        assert report.op_hi == 1.0
 
     def test_idle_site(self):
-        assert operational_factor(0.0, 0.30) == pytest.approx(0.30)
+        report = blended_emissions(unit_site(0.0), unit_site(0.5), 0.30, NO_SHIFT)
+        assert report.op_hi == pytest.approx(0.30)
 
     @given(
         load=st.floats(0.0, 1.0),
         idle=st.floats(0.0, 1.0),
     )
     def test_bounds(self, load, idle):
-        factor = operational_factor(load, idle)
+        factor = blended_emissions(unit_site(load), unit_site(0.5), idle, NO_SHIFT).op_hi
         assert min(load, idle) - 1e-12 <= factor <= 1.0 + 1e-12
 
 
 class TestBaseline:
     def test_hpc_scenario(self):
-        total = baseline_emissions(HPC_HI, HPC_LO, 0.3)
+        total = blended_emissions(HPC_HI, HPC_LO, 0.3, NO_SHIFT).baseline_total
         assert total / 1000.0 == pytest.approx(1197.0, abs=1.0)
 
     def test_ai_scenario(self):
         hi = site(0.83, 18978.0, sites=2, nodes=56840, embodied=2066.0)
         lo = site(0.83, 1896.0, sites=2, nodes=56840, embodied=2066.0)
-        total = baseline_emissions(hi, lo, 0.3)
+        total = blended_emissions(hi, lo, 0.3, NO_SHIFT).baseline_total
         assert total / 1000.0 == pytest.approx(2_565_724.0, rel=0.005)
 
     def test_all_zero(self):
         hi = site(0.5, 0.0, embodied=0.0)
         lo = site(0.5, 0.0, embodied=0.0)
-        assert baseline_emissions(hi, lo, 0.3) == 0.0
+        assert blended_emissions(hi, lo, 0.3, NO_SHIFT).baseline_total == 0.0
 
 
 class TestEffectiveAlpha:
     def test_capped_by_free_capacity(self):
-        assert effective_alpha(1.0, HPC_HI, HPC_LO) == pytest.approx(0.5)
+        report = blended_emissions(HPC_HI, HPC_LO, 0.3, ShiftPolicy(1.0, 1.0))
+        assert report.alpha_eff == pytest.approx(0.5)
 
     def test_uncapped(self):
         hi = site(0.83, 1.0, sites=2)
         lo = site(0.83, 1.0, sites=2)
-        assert effective_alpha(0.2, hi, lo) == pytest.approx(0.2)
+        assert blended_emissions(hi, lo, 0.3, ShiftPolicy(0.2, 1.0)).alpha_eff == pytest.approx(0.2)
 
     def test_zero_alpha(self):
-        assert effective_alpha(0.0, HPC_HI, HPC_LO) == 0.0
+        assert blended_emissions(HPC_HI, HPC_LO, 0.3, NO_SHIFT).alpha_eff == 0.0
 
     def test_idle_high_side_guard(self):
         hi = site(0.0, 1.0)
         lo = site(0.5, 1.0)
-        assert effective_alpha(0.7, hi, lo) == 0.7
+        assert blended_emissions(hi, lo, 0.3, ShiftPolicy(0.7, 1.0)).alpha_eff == 0.7
 
     @given(
         alpha=st.floats(0.0, 1.0),
@@ -151,7 +159,7 @@ class TestEffectiveAlpha:
         """The clamp is equivalent to the three-branch piecewise definition."""
         hi = site(load_hi, 1.0, sites=n_hi)
         lo = site(load_lo, 1.0, sites=n_lo)
-        got = effective_alpha(alpha, hi, lo)
+        got = blended_emissions(hi, lo, 0.3, ShiftPolicy(alpha, 1.0)).alpha_eff
         busy = n_hi * load_hi
         free = n_lo * (1.0 - load_lo)
         if busy == 0.0:
@@ -167,21 +175,21 @@ class TestEffectiveAlpha:
 
 
 class TestShiftedLoads:
+    """With gamma = 0, op_hi/op_lo of unit sites are the post-shift loads."""
+
     def test_worked_example(self):
-        hi = site(0.9, 1.0)
-        lo = site(0.7, 1.0)
-        new_hi, new_lo = shifted_loads(0.2, hi, lo)
-        assert new_hi == pytest.approx(0.72)
-        assert new_lo == pytest.approx(0.88)
+        report = blended_emissions(unit_site(0.9), unit_site(0.7), 0.0, ShiftPolicy(0.2, 1.0))
+        assert report.op_hi == pytest.approx(0.72)
+        assert report.op_lo == pytest.approx(0.88)
 
     def test_no_shift(self):
-        new_hi, new_lo = shifted_loads(0.0, HPC_HI, HPC_LO)
-        assert (new_hi, new_lo) == (HPC_HI.load, HPC_LO.load)
+        report = blended_emissions(unit_site(1.0), unit_site(0.5), 0.0, NO_SHIFT)
+        assert (report.op_hi, report.op_lo) == (1.0, 0.5)
 
     def test_saturates_low_side(self):
-        new_hi, new_lo = shifted_loads(0.5, HPC_HI, HPC_LO)
-        assert new_hi == pytest.approx(0.5)
-        assert new_lo == pytest.approx(1.0)
+        report = blended_emissions(unit_site(1.0), unit_site(0.5), 0.0, ShiftPolicy(0.5, 1.0))
+        assert report.op_hi == pytest.approx(0.5)
+        assert report.op_lo == pytest.approx(1.0)
 
     @given(
         alpha=st.floats(0.0, 1.0),
@@ -191,49 +199,56 @@ class TestShiftedLoads:
         n_lo=st.integers(1, 5),
     )
     def test_load_conservation(self, alpha, load_hi, load_lo, n_hi, n_lo):
-        hi = site(load_hi, 1.0, sites=n_hi)
-        lo = site(load_lo, 1.0, sites=n_lo)
-        alpha_eff = effective_alpha(alpha, hi, lo)
-        new_hi, new_lo = shifted_loads(alpha_eff, hi, lo)
+        hi = unit_site(load_hi, sites=n_hi)
+        lo = unit_site(load_lo, sites=n_lo)
+        report = blended_emissions(hi, lo, 0.0, ShiftPolicy(alpha, 1.0))
         before = n_hi * load_hi + n_lo * load_lo
-        after = n_hi * new_hi + n_lo * new_lo
+        after = report.op_hi + report.op_lo  # n_hi*new_hi + n_lo*new_lo
         assert after == pytest.approx(before, abs=1e-12)
-        assert new_lo <= 1.0 + 1e-9
+        assert report.op_lo / n_lo <= 1.0 + 1e-9
 
 
 class TestShiftOverhead:
+    """With beta = 1 the report's overhead is the full shift overhead.
+
+    The low sites run at 0.5 so that free capacity does not cap alpha.
+    """
+
     def test_hpc_overhead(self):
         hi = site(0.8, 10831.0)
-        lo = site(0.8, 390.0)
-        assert shift_overhead(0.01, 0.25, hi, lo) == pytest.approx(2805.25)
+        lo = site(0.5, 390.0)
+        report = blended_emissions(hi, lo, 0.3, ShiftPolicy(0.25, 1.0, 0.01))
+        assert report.alpha_eff == 0.25
+        assert report.overhead == pytest.approx(2805.25)
 
     def test_zero_eta(self):
-        assert shift_overhead(0.0, 0.5, HPC_HI, HPC_LO) == 0.0
+        assert blended_emissions(HPC_HI, HPC_LO, 0.3, ShiftPolicy(0.5, 1.0, 0.0)).overhead == 0.0
 
     def test_moderate_differential(self):
         hi = site(0.8, 3879.0)
-        lo = site(0.8, 1304.0)
-        assert shift_overhead(0.01, 0.25, hi, lo) == pytest.approx(1295.75)
+        lo = site(0.5, 1304.0)
+        report = blended_emissions(hi, lo, 0.3, ShiftPolicy(0.25, 1.0, 0.01))
+        assert report.alpha_eff == 0.25
+        assert report.overhead == pytest.approx(1295.75)
 
 
 class TestGlsEmissions:
     def test_hpc_scenario_1(self):
         policy = ShiftPolicy(alpha=1.0, beta=1.0, eta=0.0)
-        total = gls_emissions(HPC_HI, HPC_LO, 0.3, policy)
+        total = blended_emissions(HPC_HI, HPC_LO, 0.3, policy).gls_total
         assert total / 1000.0 == pytest.approx(832.0, abs=1.0)
 
     def test_hpc_scenario_2(self):
         hi = site(0.8, 10831.0)
         lo = site(0.8, 390.0)
         policy = ShiftPolicy(alpha=1.0, beta=1.0, eta=0.01)
-        total = gls_emissions(hi, lo, 0.3, policy)
+        total = blended_emissions(hi, lo, 0.3, policy).gls_total
         assert total / 1000.0 == pytest.approx(910.0, abs=1.0)
 
     def test_nothing_moved_equals_baseline(self):
         policy = ShiftPolicy(alpha=0.0, beta=1.0, eta=0.0)
-        assert gls_emissions(HPC_HI, HPC_LO, 0.3, policy) == baseline_emissions(
-            HPC_HI, HPC_LO, 0.3
-        )
+        report = blended_emissions(HPC_HI, HPC_LO, 0.3, policy)
+        assert report.gls_total == report.baseline_total
 
 
 class TestBlendedEmissions:

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glshift import (
     NodePowerModel,
     RegionProfile,
+    ScenarioConfig,
     ScenarioError,
+    blended_emissions,
     format_scenario,
     fossil_ci_backout,
     load_scenario,
@@ -192,6 +196,52 @@ alpha = 0.5
 beta = 0.8
 eta = 0.01
 """
+# [hi] derived from a power model, [lo] given directly
+MIRRORED_SCENARIO = (
+    VALID_SCENARIO.replace("[hi]", "[x]").replace("[lo]", "[hi]").replace("[x]", "[lo]")
+)
+POWER_MODEL_KEYS = {"ci_g_per_kwh", "node_power_w", "pue", "nu"}
+SITE_RANGES = [
+    ("sites", "0", "sites must be >= 1"),
+    ("nodes", "0", "nodes must be >= 1"),
+    ("load", "1.5", "load must be in [0,1]"),
+    ("op_kg_per_node_year", "-1", "op_kg_per_node_year must be >= 0"),
+    ("node_power_w", "0", "node_power_w must be > 0"),
+    ("pue", "0.5", "pue must be >= 1"),
+    ("ci_g_per_kwh", "-1", "ci_g_per_kwh must be >= 0"),
+    ("nu", "-0.1", "nu must be >= 0"),
+]
+# every range-checked key: section, key, an out-of-range value, the error
+RANGE_CASES = [(section, *case) for section in ("hi", "lo") for case in SITE_RANGES] + [
+    ("common", "gamma", "1.5", "gamma must be in [0,1]"),
+    ("common", "embodied_kg_per_node_year", "-1", "embodied_kg_per_node_year must be >= 0"),
+    ("shift", "alpha", "1.5", "alpha must be in [0,1]"),
+    ("shift", "beta", "-0.1", "beta must be in [0,1]"),
+    ("shift", "eta", "1", "eta must be in [0,1)"),
+]
+
+
+def scenario_with(section: str, key: str, value: str) -> tuple[str, int]:
+    """A valid scenario with `key = value` in [section], and that line's number.
+
+    Power-model keys need a derived site class, op_kg_per_node_year a
+    direct one: VALID_SCENARIO gives [hi] directly and derives [lo].
+    """
+    mirror = (section == "hi" and key in POWER_MODEL_KEYS) or (
+        section == "lo" and key == "op_kg_per_node_year"
+    )
+    lines = (MIRRORED_SCENARIO if mirror else VALID_SCENARIO).splitlines()
+    start = end = lines.index(f"[{section}]") + 1
+    while end < len(lines) and lines[end]:  # a blank line ends the section
+        end += 1
+    keys = [line.split(" = ")[0] for line in lines[start:end]]
+    if key in keys:
+        index = start + keys.index(key)
+        lines[index] = f"{key} = {value}"
+    else:
+        index = end
+        lines.insert(index, f"{key} = {value}")
+    return "\n".join(lines) + "\n", index + 1
 
 
 class TestLoadScenario:
@@ -212,8 +262,6 @@ class TestLoadScenario:
         config = load_scenario(VALID_SCENARIO)
         # 1200 W * 8760 h * 1.1 PUE * 41 g/kWh
         assert config.lo.op_full_per_node == pytest.approx(10512.0 * 1.1 * 0.041)
-        assert config.lo_power is not None
-        assert "lo op_full_per_node derived from power model" in config.notes
 
     def test_empty_file(self):
         with pytest.raises(ScenarioError, match="missing required section"):
@@ -254,6 +302,22 @@ class TestLoadScenario:
         for name in SCENARIO_NAMES:
             config = read_bundled(name)
             assert load_scenario(format_scenario(config)) == config
+        derived = load_scenario(VALID_SCENARIO)  # lo op from the power model
+        assert load_scenario(format_scenario(derived)) == derived
+
+    @pytest.mark.parametrize("section,key,value,message", RANGE_CASES)
+    def test_out_of_range_reports_line(self, section, key, value, message):
+        bad, lineno = scenario_with(section, key, value)
+        with pytest.raises(ScenarioError, match=rf"^line {lineno}: {re.escape(message)}$") as info:
+            load_scenario(bad)
+        assert info.value.line == lineno
+
+    @pytest.mark.parametrize("key", ["sites", "nodes"])
+    def test_count_beyond_float_range_reports_line(self, key):
+        bad, lineno = scenario_with("hi", key, "1" + "0" * 400)
+        with pytest.raises(ScenarioError, match=rf"^line {lineno}: key '{key}'") as info:
+            load_scenario(bad)
+        assert info.value.line == lineno
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
     @pytest.mark.parametrize(
@@ -267,3 +331,43 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=rf"^line {lineno}: .*not a finite number") as info:
             load_scenario(bad)
         assert info.value.line == lineno
+
+
+SCENARIO_KEYS = sorted(
+    {"name", "sites", "nodes", "load", "op_kg_per_node_year", "gamma", "alpha", "beta", "eta",
+     "embodied_kg_per_node_year"} | POWER_MODEL_KEYS
+)
+FUZZ_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**401), 10**401).map(str),
+    st.text(max_size=8),
+    st.sampled_from(["", "0", "-0", "1", "1e308", "1e-320", "1_0", "0x10", "\u0661", "[hi]", "#"]),
+)
+
+
+@st.composite
+def mutated_scenarios(draw) -> str:
+    """Valid scenario text with some keys or values replaced."""
+    lines = draw(st.sampled_from([VALID_SCENARIO, MIRRORED_SCENARIO])).splitlines()
+    key_lines = [i for i, line in enumerate(lines) if " = " in line]
+    for i in draw(st.lists(st.sampled_from(key_lines), min_size=1, max_size=4, unique=True)):
+        key, value = lines[i].split(" = ", 1)
+        if draw(st.booleans()):
+            value = draw(FUZZ_VALUES)
+        else:
+            key = draw(st.sampled_from(SCENARIO_KEYS) | st.text(max_size=8))
+        lines[i] = f"{key} = {value}"
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_scenarios())
+@example(text=VALID_SCENARIO.replace("nodes = 10", "nodes = 1" + "0" * 400, 1))
+def test_fuzzed_scenario_evaluates_or_is_rejected(text):
+    """Every input ends in an evaluated config or a ScenarioError."""
+    try:
+        config = load_scenario(text)
+    except ScenarioError:
+        return
+    assert type(config) is ScenarioConfig
+    blended_emissions(config.hi, config.lo, config.gamma, config.policy)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from glshift import TraceSpec, TwoPoint, Uniform, compare_with_means, evaluate_trace
+from glshift import TraceSpec, TwoPoint, Uniform, compare_with_means
 from glshift.trace import closed_form_total
 
 DEFAULT_LOAD = Uniform(0.6, 1.0)
@@ -43,27 +43,29 @@ class TestEvaluateTrace:
         constant = TraceSpec(
             steps=1000, seed=1, load_dist=Uniform(0.8, 0.8), ci_dist=Uniform(350.0, 350.0)
         )
-        total = evaluate_trace(constant, 0.3, 444.0)
+        total = compare_with_means(constant, 0.3, 444.0).trace_total
         assert total == pytest.approx(closed_form_total(0.8, 350.0, 0.3, 444.0), rel=1e-12)
 
     def test_single_step(self):
         single = spec(steps=1)
         loads, cis = single.draw()
         expected = closed_form_total(float(loads[0]), float(cis[0]), 0.3, 444.0)
-        assert evaluate_trace(single, 0.3, 444.0) == pytest.approx(expected, rel=1e-12)
+        total = compare_with_means(single, 0.3, 444.0).trace_total
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_large_trace_within_three_standard_errors(self):
         result = compare_with_means(spec(steps=1_000_000), 0.3, 444.0)
         assert abs(result.z_score) <= 3.0
 
     def test_deterministic_for_fixed_seed(self):
-        a = evaluate_trace(spec(), 0.3, 444.0)
-        b = evaluate_trace(spec(), 0.3, 444.0)
+        a = compare_with_means(spec(), 0.3, 444.0).trace_total
+        b = compare_with_means(spec(), 0.3, 444.0).trace_total
         assert a == b
 
     def test_different_seeds_differ(self):
-        assert evaluate_trace(spec(seed=1), 0.3, 444.0) != evaluate_trace(
-            spec(seed=2), 0.3, 444.0
+        assert (
+            compare_with_means(spec(seed=1), 0.3, 444.0).trace_total
+            != compare_with_means(spec(seed=2), 0.3, 444.0).trace_total
         )
 
 

@@ -27,7 +27,6 @@ class NodePowerModel:
     """Electrical and emission characteristics of one compute node.
 
     active_power: W drawn when the node is busy.
-    idle_fraction: idle draw as a fraction of active draw, in [0,1].
     pue: facility power / IT power, >= 1.
     carbon_intensity: gCO2e per kWh of the local grid.
     network_overhead_fraction: extra draw for networking outside the
@@ -35,14 +34,12 @@ class NodePowerModel:
     """
 
     active_power: float
-    idle_fraction: float
     pue: float
     carbon_intensity: float
     network_overhead_fraction: float = 0.0
 
     def __post_init__(self) -> None:
         _require(self.active_power > 0, "active_power must be > 0")
-        _require(0.0 <= self.idle_fraction <= 1.0, "idle_fraction must be in [0,1]")
         _require(self.pue >= 1.0, "pue must be >= 1")
         _require(self.carbon_intensity >= 0.0, "carbon_intensity must be >= 0")
         _require(
@@ -168,10 +165,7 @@ def _emissions(
     load_hi,
     load_lo,
     gamma: float,
-    alpha: float,
-    beta: float,
-    eta: float,
-    embodied: bool = True,
+    policy: ShiftPolicy,
     where=_where,
 ) -> EmissionsReport:
     """The emissions kernel: every term of the model, computed once.
@@ -181,15 +175,12 @@ def _emissions(
     or numpy arrays (with where=numpy.where), in which case every
     report field is an array over the loads.  Elementwise the two give
     the same IEEE operations in the same order, hence identical bits.
-    embodied=False drops embodied carbon from both regimes.
     """
-    if embodied:
-        embodied_total = (
-            hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
-        )
-    else:
-        embodied_total = 0.0
-    alpha_eff = _capped_alpha(alpha, hi, load_hi, lo, load_lo, where)
+    embodied_total = (
+        hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
+    )
+    beta = policy.beta
+    alpha_eff = _capped_alpha(policy.alpha, hi, load_hi, lo, load_lo, where)
     new_hi = load_hi * (1.0 - alpha_eff)
     new_lo = load_lo + alpha_eff * load_hi * hi.site_count / lo.site_count
     new_lo = where(1.0 < new_lo, 1.0, new_lo)
@@ -197,7 +188,7 @@ def _emissions(
     op_lo = _op(lo, new_lo, gamma)
     # moving work costs eta per unit moved, on the full-load operational
     # emissions of all sites involved
-    overhead = eta * alpha_eff * (
+    overhead = policy.eta * alpha_eff * (
         hi.site_count * hi.op_full_per_site + lo.site_count * lo.op_full_per_site
     )
     # the baseline is summed in the same order as the shifted case, so
@@ -236,9 +227,7 @@ def blended_emissions(
     The blended total weights the shifting and baseline regimes by the
     fraction of the time shifting is possible (beta).
     """
-    return _emissions(
-        hi, lo, hi.load, lo.load, gamma, policy.alpha, policy.beta, policy.eta
-    )
+    return _emissions(hi, lo, hi.load, lo.load, gamma, policy)
 
 
 def ideal_reduction(c_hi: float, c_lo: float, load: float) -> float:

@@ -10,7 +10,8 @@ directly, or ``ci_g_per_kwh`` + ``node_power_w`` + ``pue`` to derive it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 
 from .model import (
     ModelError,
@@ -48,7 +49,6 @@ class RegionProfile:
     renewable_ci: float
     renewable_hours_per_day: float = 8.0
     sunshine_hours_per_year: float | None = None
-    wind_load_factor: float | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.renewable_ci <= self.average_ci):
@@ -73,7 +73,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.gamma <= 1.0):
-            raise ScenarioError("gamma must be in [0,1]")
+            raise ModelError("gamma must be in [0,1]")
 
 
 def fossil_ci_backout(profile: RegionProfile) -> float:
@@ -155,41 +155,36 @@ def nodes_from_power_budget(budget_w: float, model: NodePowerModel) -> int:
     return round(budget_w / (model.active_power * model.pue))
 
 
+# section -> {file key: model field}; every key is required, except the
+# _OPTIONAL ones and the alternatives checked in _site_class
 _SECTIONS = {
-    "scenario": {"name"},
+    "scenario": {"name": "name"},
     "hi": {
-        "sites",
-        "nodes",
-        "load",
-        "op_kg_per_node_year",
-        "ci_g_per_kwh",
-        "node_power_w",
-        "pue",
-        "nu",
+        "sites": "site_count",
+        "nodes": "nodes_per_site",
+        "load": "load",
+        "op_kg_per_node_year": "op_full_per_node",
+        "ci_g_per_kwh": "carbon_intensity",
+        "node_power_w": "active_power",
+        "pue": "pue",
+        "nu": "network_overhead_fraction",
     },
-    "common": {"gamma", "embodied_kg_per_node_year"},
-    "shift": {"alpha", "beta", "eta"},
+    "common": {"gamma": "gamma", "embodied_kg_per_node_year": "embodied_per_node"},
+    "shift": {"alpha": "alpha", "beta": "beta", "eta": "eta"},
 }
 _SECTIONS["lo"] = _SECTIONS["hi"]
-
-_REQUIRED_KEYS = {
-    "scenario": {"name"},
-    "hi": {"sites", "nodes", "load"},
-    "lo": {"sites", "nodes", "load"},
-    "common": {"gamma", "embodied_kg_per_node_year"},
-    "shift": {"alpha", "beta"},
+_OPTIONAL = {"eta", "nu"}  # both default to 0
+# a site class gives op_kg_per_node_year or these keys of a NodePowerModel
+_POWER_MODEL = {
+    key: field
+    for key, field in _SECTIONS["hi"].items()
+    if field in {f.name for f in fields(NodePowerModel)}
 }
-
-# model field -> scenario file key, where the two names differ
-_FILE_KEYS = {
-    "site_count": "sites",
-    "nodes_per_site": "nodes",
-    "embodied_per_node": "embodied_kg_per_node_year",
-    "op_full_per_node": "op_kg_per_node_year",
-    "active_power": "node_power_w",
-    "carbon_intensity": "ci_g_per_kwh",
-    "network_overhead_fraction": "nu",
+_REQUIRED = {
+    name: keys.keys() - _OPTIONAL - _POWER_MODEL.keys() - {"op_kg_per_node_year"}
+    for name, keys in _SECTIONS.items()
 }
+_KEY_BY_FIELD = {field: key for keys in _SECTIONS.values() for key, field in keys.items()}
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -247,11 +242,16 @@ def _integer(section: dict[str, tuple[str, int]], key: str) -> int:
 def _range_error(exc: ModelError, *sections: dict[str, tuple[str, int]]) -> ScenarioError:
     """A model range error, naming the file key and its line."""
     field, _, requirement = str(exc).partition(" ")
-    key = _FILE_KEYS.get(field, field)
+    key = _KEY_BY_FIELD.get(field, field)
     for section in sections:
         if key in section:
             return ScenarioError(f"{key} {requirement}", section[key][1])
     return ScenarioError(str(exc))
+
+
+def _numbers(section: dict[str, tuple[str, int]], keys: dict[str, str]) -> dict[str, float]:
+    """Model field -> number, for each of the keys that the section gives."""
+    return {field: _number(section, key) for key, field in keys.items() if key in section}
 
 
 def _site_class(
@@ -259,39 +259,37 @@ def _site_class(
     section: dict[str, tuple[str, int]],
     common: dict[str, tuple[str, int]],
     embodied: float,
-    gamma: float,
 ) -> SiteClass:
     direct = "op_kg_per_node_year" in section
-    derived_keys = {"ci_g_per_kwh", "node_power_w", "pue"} & section.keys()
-    if direct and derived_keys:
+    if direct and _POWER_MODEL.keys() & section.keys():
         raise ScenarioError(
             f"section [{name}]: give op_kg_per_node_year or a power model, not both"
         )
     if not direct:
-        missing = {"ci_g_per_kwh", "node_power_w", "pue"} - section.keys()
+        missing = _POWER_MODEL.keys() - _OPTIONAL - section.keys()
         if missing:
             raise ScenarioError(
                 f"section [{name}]: missing {', '.join(sorted(missing))} "
                 "(or give op_kg_per_node_year)"
             )
+    sites, nodes = _integer(section, "sites"), _integer(section, "nodes")
     try:
         if direct:
             op = _number(section, "op_kg_per_node_year")
         else:
-            op = op_full_per_node(
-                NodePowerModel(
-                    active_power=_number(section, "node_power_w"),
-                    idle_fraction=gamma,
-                    pue=_number(section, "pue"),
-                    carbon_intensity=_number(section, "ci_g_per_kwh"),
-                    network_overhead_fraction=(
-                        _number(section, "nu") if "nu" in section else 0.0
-                    ),
-                )
+            op = op_full_per_node(NodePowerModel(**_numbers(section, _POWER_MODEL)))
+        # each report total is at most the sum of this bound over both classes
+        # (op_hi, op_lo and the overhead each stay below sites * nodes * op);
+        # a quarter of the float range leaves room for rounding
+        if not float(sites) * nodes * (embodied + 2.0 * op) <= sys.float_info.max / 4.0:
+            # blame the largest number in the section
+            _, lineno, key = max(
+                (float(v), n, k) for s in (section, common) for k, (v, n) in s.items()
             )
+            raise ScenarioError(f"key {key!r}: annual totals too large for a float", lineno)
         return SiteClass(
-            site_count=_integer(section, "sites"),
-            nodes_per_site=_integer(section, "nodes"),
+            site_count=sites,
+            nodes_per_site=nodes,
             load=_number(section, "load"),
             embodied_per_node=embodied,
             op_full_per_node=op,
@@ -303,13 +301,13 @@ def _site_class(
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse scenario file contents into a validated ScenarioConfig."""
     sections = _parse_sections(text)
-    missing_sections = set(_REQUIRED_KEYS) - sections.keys()
+    missing_sections = _REQUIRED.keys() - sections.keys()
     if missing_sections:
         raise ScenarioError(
             "missing required section "
             + ", ".join(f"[{s}]" for s in sorted(missing_sections))
         )
-    for section_name, keys in _REQUIRED_KEYS.items():
+    for section_name, keys in _REQUIRED.items():
         missing = keys - sections[section_name].keys()
         if missing:
             raise ScenarioError(
@@ -318,26 +316,19 @@ def load_scenario(text: str) -> ScenarioConfig:
             )
 
     common, shift = sections["common"], sections["shift"]
-    gamma = _number(common, "gamma")
-    if not (0.0 <= gamma <= 1.0):
-        raise ScenarioError("gamma must be in [0,1]", common["gamma"][1])
     embodied = _number(common, "embodied_kg_per_node_year")
-
+    hi = _site_class("hi", sections["hi"], common, embodied)
+    lo = _site_class("lo", sections["lo"], common, embodied)
     try:
-        policy = ShiftPolicy(
-            alpha=_number(shift, "alpha"),
-            beta=_number(shift, "beta"),
-            eta=_number(shift, "eta") if "eta" in shift else 0.0,
+        return ScenarioConfig(
+            name=sections["scenario"]["name"][0],
+            hi=hi,
+            lo=lo,
+            gamma=_number(common, "gamma"),
+            policy=ShiftPolicy(**_numbers(shift, _SECTIONS["shift"])),
         )
     except ModelError as exc:
-        raise _range_error(exc, shift) from exc
-    return ScenarioConfig(
-        name=sections["scenario"]["name"][0],
-        hi=_site_class("hi", sections["hi"], common, embodied, gamma),
-        lo=_site_class("lo", sections["lo"], common, embodied, gamma),
-        gamma=gamma,
-        policy=policy,
-    )
+        raise _range_error(exc, common, shift) from exc
 
 
 def format_scenario(config: ScenarioConfig) -> str:

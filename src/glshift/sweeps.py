@@ -10,7 +10,7 @@ own alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,13 +21,6 @@ VARIANTS = ("full", "zero_idle", "zero_embodied", "no_time_constraints")
 SWEEP_PARAMETERS = ("load_both", "load_hi")
 MAX_GRID_POINTS = 1_000_001  # a 1e-6 step over [0,1]
 
-# variant -> (idle power, embodied carbon, time constraints) kept
-_VARIANT_TERMS = {
-    "full": (True, True, True),
-    "zero_idle": (False, True, True),
-    "zero_embodied": (True, False, True),
-    "no_time_constraints": (False, False, False),
-}
 # grid points per kernel call: bounds the kernel's temporary arrays
 _BLOCK = 1024
 
@@ -50,8 +43,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.swept_parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"swept_parameter must be one of {SWEEP_PARAMETERS}")
-        if not self.step > 0.0:
-            raise ValueError("step must be > 0")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be > 0 and finite")
         if not (0.0 <= self.start <= self.stop <= 1.0):
             raise ValueError("need 0 <= start <= stop <= 1")
         unknown = set(self.variants) - set(VARIANTS)
@@ -86,21 +79,22 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """
     base = spec.base
     fixed_lo = spec.swept_parameter == "load_hi"
+    bare_hi = replace(base.hi, embodied_per_node=0.0)
+    bare_lo = replace(base.lo, embodied_per_node=0.0)
+    shift_all = replace(base.policy, alpha=1.0)  # move the whole movable fraction
+    untimed = replace(shift_all, beta=1.0)
+    # variant -> the site classes, gamma and policy it evaluates
+    inputs = {
+        "full": (base.hi, base.lo, base.gamma, shift_all),
+        "zero_idle": (base.hi, base.lo, 0.0, shift_all),
+        "zero_embodied": (bare_hi, bare_lo, base.gamma, shift_all),
+        "no_time_constraints": (bare_hi, bare_lo, 0.0, untimed),
+    }
 
     def reduction(variant, load, where):
-        idle, embodied, timed = _VARIANT_TERMS[variant]
-        return _emissions(
-            base.hi,
-            base.lo,
-            load,
-            base.lo.load if fixed_lo else load,
-            base.gamma if idle else 0.0,
-            1.0,  # sweeps shift the whole movable fraction
-            base.policy.beta if timed else 1.0,
-            base.policy.eta,
-            embodied,
-            where,
-        ).reduction
+        hi, lo, gamma, policy = inputs[variant]
+        load_lo = lo.load if fixed_lo else load
+        return _emissions(hi, lo, load, load_lo, gamma, policy, where).reduction
 
     grid = spec.grid()
     rows: list[SweepRow] = []
@@ -145,8 +139,8 @@ def years_compensated(reduction: float, annual_growth: float) -> float:
     """
     if not (0.0 <= reduction < 1.0):
         raise ValueError("reduction must be in [0,1)")
-    if annual_growth <= 0.0:
-        raise ValueError("annual_growth must be > 0")
+    if not 1.0 < 1.0 + annual_growth < math.inf:
+        raise ValueError("annual_growth must be > 0 and finite, with 1 + annual_growth > 1")
     return math.log(1.0 / (1.0 - reduction)) / math.log(1.0 + annual_growth)
 
 

@@ -69,9 +69,9 @@ class TraceSpec:
     ci_dist draws the full-load operational emission rate (kg/y per
     site-group, any fixed unit); load_dist draws the load in [0,1].  The
     two traces are drawn independently unless correlated is set, in
-    which case the load trace is an affine image of the rate trace
-    (negative control: the closed form is then biased by the
-    covariance).
+    which case the load trace is an affine image of the rate trace onto
+    the load range (negative control: the closed form is then biased by
+    the covariance); both distributions must then be Uniform.
     """
 
     steps: int
@@ -83,8 +83,10 @@ class TraceSpec:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.correlated and not isinstance(self.ci_dist, Uniform):
-            raise ValueError("correlated traces need a Uniform ci_dist")
+        if self.correlated and not (
+            isinstance(self.ci_dist, Uniform) and isinstance(self.load_dist, Uniform)
+        ):
+            raise ValueError("correlated traces need a Uniform load_dist and ci_dist")
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -95,19 +97,16 @@ class TraceSpec:
             lo, hi = self.ci_dist.low, self.ci_dist.high
             span = hi - lo
             unit = (cis - lo) / span if span > 0.0 else np.zeros_like(cis)
-            if isinstance(self.load_dist, Uniform):
-                loads = self.load_dist.low + unit * (
-                    self.load_dist.high - self.load_dist.low
-                )
-            else:
-                loads = unit
+            loads = self.load_dist.low + unit * (self.load_dist.high - self.load_dist.low)
         return loads, cis
 
 
-def closed_form_total(
-    load_mean: float, ci_mean: float, gamma: float, embodied: float
-) -> float:
-    """Annual total from the affine model at mean load and mean rate."""
+def closed_form_total(load_mean, ci_mean, gamma: float, embodied: float):
+    """Annual total from the affine model at mean load and mean rate.
+
+    Elementwise over numpy arrays of loads and rates, it is the per-step
+    rate of a trace.
+    """
     a, b = 1.0 - gamma, gamma
     return a * load_mean * ci_mean + b * ci_mean + embodied
 
@@ -138,20 +137,27 @@ class TraceComparison:
 
 def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceComparison:
     """Compare the time-stepped total against closed-form evaluations."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must be in [0,1]")
+    if not 0.0 <= embodied < math.inf:
+        raise ValueError("embodied must be >= 0 and finite")
     loads, cis = spec.draw()
-    a, b = 1.0 - gamma, gamma
-    rates = a * loads * cis + b * cis + embodied
-    trace_total = float(np.mean(rates))
-    closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
-    sample_mean = closed_form_total(
-        float(np.mean(loads)), float(np.mean(cis)), gamma, embodied
-    )
-    if spec.steps > 1:
-        stderr = float(np.std(rates, ddof=1)) / math.sqrt(spec.steps)
-    else:
-        stderr = 0.0
+    # overflow is reported below as one error, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = closed_form_total(loads, cis, gamma, embodied)
+        trace_total = float(np.mean(rates))
+        closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
+        sample_mean = closed_form_total(
+            float(np.mean(loads)), float(np.mean(cis)), gamma, embodied
+        )
+        if spec.steps > 1:
+            stderr = float(np.std(rates, ddof=1)) / math.sqrt(spec.steps)
+        else:
+            stderr = 0.0
+        cov = float(np.mean(loads * cis) - np.mean(loads) * np.mean(cis))
+    if not all(map(math.isfinite, (trace_total, closed, sample_mean, stderr, cov))):
+        raise ValueError("trace totals are too large for a float")
     z = (trace_total - closed) / stderr if stderr > 0.0 else 0.0
-    cov = float(np.mean(loads * cis) - np.mean(loads) * np.mean(cis))
     return TraceComparison(
         trace_total=trace_total,
         closed_form_total=closed,

@@ -102,7 +102,7 @@ def test_criterion_4_scenario_derivations():
         0.52, abs=0.005
     )
     assert wind_beta(0.5, 0.35, 0.10) == pytest.approx(0.63, abs=0.005)
-    node = NodePowerModel(4550.0, 0.3, 1.16, 41.0)
+    node = NodePowerModel(4550.0, 1.16, 41.0)
     assert nodes_from_power_budget(300e6, node) == 56_840
     _report("criterion 4: fossil back-out, solar beta, wind beta and node sizing")
 

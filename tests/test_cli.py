@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glshift.cli import (
     EXIT_IO,
@@ -108,6 +113,17 @@ class TestEvaluate:
         assert err.startswith("error: line 8: key 'nodes'")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("extra", [[], ["--csv"], ["--csv", "--precision", "full"]])
+    def test_overflowing_totals_are_validation_error(self, tmp_path, capsys, extra):
+        text = builtin_scenario_path("table2_s2").read_text(encoding="utf-8")
+        path = tmp_path / "huge.scenario"
+        path.write_text(text.replace("nodes = 100", "nodes = 1" + "0" * 306, 1), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(path), *extra)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: line 7: key 'nodes': annual totals too large")
+        assert err.count("\n") == 1
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "evaluate", "table1_solar", "--csv")
         _, second, _ = run(capsys, "evaluate", "table1_solar", "--csv")
@@ -208,3 +224,96 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--load-min", "0.9", "--load-max", "0.2")
         assert code == EXIT_VALIDATION
         assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--ci-min", "nan"],
+        ["oracle", "--ci-max", "inf"],
+        ["oracle", "--load-max", "nan"],
+        ["oracle", "--gamma", "1.5"],
+        ["oracle", "--gamma", "nan"],
+        ["oracle", "--embodied=-5"],
+        ["oracle", "--embodied", "inf"],
+        ["oracle", "--ci-max", "1e300"],
+        ["sweep", "table2_s1", "--step", "inf"],
+        ["growth", "--reduction", "0.5", "--growth", "nan"],
+        ["growth", "--reduction", "0.5", "--growth", "inf"],
+        ["growth", "--reduction", "0.5", "--growth", "1e-17"],
+    ],
+)
+def test_invalid_arguments_are_validation_errors(capsys, argv):
+    """Arguments that used to end in a traceback or print nonsense."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+UNIT_FLOATS = st.one_of(st.floats(-0.5, 1.5), FLOATS).map(str)
+SCENARIOS = st.sampled_from(["table2_s1", "table1_wind", "no_such_scenario"])
+
+
+def options(**values) -> st.SearchStrategy[list[str]]:
+    """Any subset of the given options, each as one --name=value argument."""
+    pairs = [
+        st.one_of(st.none(), strategy.map(lambda v, name=name: f"--{name}={v}"))
+        for name, strategy in values.items()
+    ]
+    return st.tuples(*pairs).map(lambda args: [arg for arg in args if arg is not None])
+
+
+ARGVS = st.one_of(
+    st.tuples(
+        st.just(["evaluate"]),
+        SCENARIOS.map(lambda name: [name]),
+        st.sampled_from([[], ["--csv"], ["--csv", "--precision=full"], ["--precision=bad"]]),
+    ),
+    st.tuples(
+        st.just(["sweep"]),
+        SCENARIOS.map(lambda name: [name]),
+        options(
+            param=st.sampled_from(["load_both", "load_hi", "load_lo"]),
+            **{"from": UNIT_FLOATS, "to": UNIT_FLOATS},
+            step=st.one_of(
+                st.floats(1e-4, 2.0).map(str),  # at most 10^4 grid points
+                st.floats(-1.0, 0.0).map(str),
+                st.sampled_from(["inf", "-inf", "nan", "1e-300"]),
+            ),
+            variants=st.sampled_from(["full", "zero_idle,no_time_constraints", "bogus", ""]),
+        ),
+        st.sampled_from([[], ["--kink"]]),
+    ),
+    st.tuples(
+        st.just(["growth"]),
+        options(reduction=UNIT_FLOATS, growth=FLOATS),
+    ),
+    st.tuples(
+        st.just(["oracle"]),
+        options(
+            steps=st.integers(-2, 10_000).map(str),
+            seed=st.integers(-1, 2**70).map(str),
+            gamma=UNIT_FLOATS,
+            embodied=FLOATS,
+            **{"load-min": UNIT_FLOATS, "load-max": UNIT_FLOATS},
+            **{"ci-min": FLOATS, "ci-max": FLOATS},
+        ),
+        st.sampled_from([[], ["--correlated"]]),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGVS)
+def test_fuzzed_arguments_exit_cleanly(argv):
+    """Every argument list ends in a documented exit code, never a traceback."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            assert exc.code == 2
+            return
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_STATISTICAL)

@@ -50,43 +50,41 @@ class TestNodeEnergy:
     """At pue 1 and 1000 g/kWh, op_full_per_node is the node's annual kWh."""
 
     def test_dgx_class_node(self):
-        model = NodePowerModel(4550.0, 0.3, 1.0, 1000.0)
+        model = NodePowerModel(4550.0, 1.0, 1000.0)
         assert op_full_per_node(model) == pytest.approx(39858.0)
 
     def test_unit_power(self):
-        model = NodePowerModel(1000.0, 0.0, 1.0, 1000.0)
+        model = NodePowerModel(1000.0, 1.0, 1000.0)
         assert op_full_per_node(model) == pytest.approx(8760.0)
 
     def test_hpc_node(self):
-        model = NodePowerModel(1200.0, 0.3, 1.0, 1000.0)
+        model = NodePowerModel(1200.0, 1.0, 1000.0)
         assert op_full_per_node(model) == pytest.approx(10512.0)
 
 
 class TestOpFullPerNode:
     def test_low_ci_solar(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 41.0)
+        model = NodePowerModel(4550.0, 1.16, 41.0)
         assert op_full_per_node(model) == pytest.approx(1896.0, abs=1.0)
 
     def test_low_ci_wind(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 11.0)
+        model = NodePowerModel(4550.0, 1.16, 11.0)
         assert op_full_per_node(model) == pytest.approx(509.0, abs=1.0)
 
     def test_zero_carbon_intensity(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 0.0)
+        model = NodePowerModel(4550.0, 1.16, 0.0)
         assert op_full_per_node(model) == 0.0
 
     def test_network_overhead_scales_linearly(self):
-        base = NodePowerModel(1000.0, 0.0, 1.2, 100.0)
-        with_nu = NodePowerModel(1000.0, 0.0, 1.2, 100.0, network_overhead_fraction=0.5)
+        base = NodePowerModel(1000.0, 1.2, 100.0)
+        with_nu = NodePowerModel(1000.0, 1.2, 100.0, network_overhead_fraction=0.5)
         assert op_full_per_node(with_nu) == pytest.approx(1.5 * op_full_per_node(base))
 
     def test_invalid_model_rejected(self):
         with pytest.raises(ModelError):
-            NodePowerModel(0.0, 0.3, 1.16, 41.0)
+            NodePowerModel(0.0, 1.16, 41.0)
         with pytest.raises(ModelError):
-            NodePowerModel(1000.0, 0.3, 0.9, 41.0)
-        with pytest.raises(ModelError):
-            NodePowerModel(1000.0, 1.5, 1.16, 41.0)
+            NodePowerModel(1000.0, 0.9, 41.0)
 
 
 class TestOperationalFactor:

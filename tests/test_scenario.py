@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import re
 
 import pytest
@@ -151,19 +153,19 @@ class TestWindBeta:
 
 class TestNodesFromPowerBudget:
     def test_hyperscale_budget(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 41.0)
+        model = NodePowerModel(4550.0, 1.16, 41.0)
         assert nodes_from_power_budget(300e6, model) == 56_840
 
     def test_budget_below_one_node(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 41.0)
+        model = NodePowerModel(4550.0, 1.16, 41.0)
         assert nodes_from_power_budget(1000.0, model) == 0
 
     def test_unity_pue(self):
-        model = NodePowerModel(4550.0, 0.3, 1.0, 41.0)
+        model = NodePowerModel(4550.0, 1.0, 41.0)
         assert nodes_from_power_budget(300e6, model) == 65_934
 
     def test_facility_draw_close_to_budget(self):
-        model = NodePowerModel(4550.0, 0.3, 1.16, 41.0)
+        model = NodePowerModel(4550.0, 1.16, 41.0)
         count = nodes_from_power_budget(300e6, model)
         draw_per_node = model.active_power * model.pue
         assert count * draw_per_node <= 300e6 + 0.5 * draw_per_node
@@ -281,9 +283,10 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"unknown section"):
             load_scenario(VALID_SCENARIO + "\n[extra]\nx = 1\n")
 
-    def test_both_op_and_power_model_rejected(self):
+    @pytest.mark.parametrize("key", sorted(POWER_MODEL_KEYS))
+    def test_both_op_and_power_model_rejected(self, key):
         bad = VALID_SCENARIO.replace(
-            "op_kg_per_node_year = 5000", "op_kg_per_node_year = 5000\nci_g_per_kwh = 10"
+            "op_kg_per_node_year = 5000", f"op_kg_per_node_year = 5000\n{key} = 10"
         )
         with pytest.raises(ScenarioError, match="not both"):
             load_scenario(bad)
@@ -316,6 +319,25 @@ class TestLoadScenario:
     def test_count_beyond_float_range_reports_line(self, key):
         bad, lineno = scenario_with("hi", key, "1" + "0" * 400)
         with pytest.raises(ScenarioError, match=rf"^line {lineno}: key '{key}'") as info:
+            load_scenario(bad)
+        assert info.value.line == lineno
+
+    @pytest.mark.parametrize(
+        "section,key,value,ci",
+        [
+            ("hi", "nodes", "1" + "0" * 306, "41"),
+            ("hi", "op_kg_per_node_year", "1e307", "41"),
+            ("lo", "node_power_w", "1e308", "41"),
+            ("lo", "node_power_w", "1e308", "0"),  # inf energy * 0 CI: NaN
+            ("common", "embodied_kg_per_node_year", "1e308", "41"),
+        ],
+        ids=["nodes", "op", "power", "power_zero_ci", "embodied"],
+    )
+    def test_overflowing_totals_report_line(self, section, key, value, ci):
+        """Finite inputs whose report totals overflow are rejected at the key."""
+        bad, lineno = scenario_with(section, key, value)
+        bad = bad.replace("ci_g_per_kwh = 41", f"ci_g_per_kwh = {ci}")
+        with pytest.raises(ScenarioError, match=rf"^line {lineno}: key '{key}': annual") as info:
             load_scenario(bad)
         assert info.value.line == lineno
 
@@ -360,14 +382,28 @@ def mutated_scenarios(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+# no load, idle draw or embodied carbon: a zero baseline
+ZERO_BASELINE = re.sub(r"(load|gamma|embodied_kg_per_node_year) = .*", r"\1 = 0", VALID_SCENARIO)
+
+
 @settings(max_examples=200, deadline=None)
 @given(text=mutated_scenarios())
 @example(text=VALID_SCENARIO.replace("nodes = 10", "nodes = 1" + "0" * 400, 1))
+@example(text=VALID_SCENARIO.replace("nodes = 10", "nodes = 1" + "0" * 306, 1))
+@example(text=VALID_SCENARIO.replace("nodes = 10", "nodes = 1" + "0" * 300, 1))
+@example(text=VALID_SCENARIO.replace("node_power_w = 1200", "node_power_w = 1e308"))
+@example(text=ZERO_BASELINE)
 def test_fuzzed_scenario_evaluates_or_is_rejected(text):
-    """Every input ends in an evaluated config or a ScenarioError."""
+    """Every input ends in a config with finite totals or a ScenarioError."""
     try:
         config = load_scenario(text)
     except ScenarioError:
         return
     assert type(config) is ScenarioConfig
-    blended_emissions(config.hi, config.lo, config.gamma, config.policy)
+    report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if field.name == "reduction" and report.baseline_total == 0.0:
+            assert math.isnan(value)
+        else:
+            assert math.isfinite(value), field.name

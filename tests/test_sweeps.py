@@ -271,10 +271,7 @@ class TestArrayKernelGuard:
                 config.hi, config.lo, config.gamma, replace(config.policy, alpha=alpha), variant
             )
             with np.errstate(all="ignore"):  # Python floats overflow silently too
-                array = _emissions(
-                    hi, lo, load_hi, load_lo, gamma, policy.alpha, policy.beta, policy.eta,
-                    where=np.where,
-                )
+                array = _emissions(hi, lo, load_hi, load_lo, gamma, policy, where=np.where)
             points = [(replace(hi, load=a), replace(lo, load=b)) for a, b in loads]
             scalar = [blended_emissions(h, l, gamma, policy) for h, l in points]
             reference = [reference_blended(h, l, gamma, policy) for h, l in points]

@@ -92,6 +92,15 @@ class TestCompareWithMeans:
         slope = np.polyfit(np.log10(sizes), np.log10(rms), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
 
+    @pytest.mark.parametrize(
+        "load_dist,ci_dist",
+        [(TwoPoint(0.6, 0.9), DEFAULT_CI), (DEFAULT_LOAD, TwoPoint(300.0, 500.0))],
+    )
+    def test_correlated_needs_uniform_distributions(self, load_dist, ci_dist):
+        """A correlated trace maps rates onto a load range: a TwoPoint has none."""
+        with pytest.raises(ValueError, match="Uniform"):
+            TraceSpec(steps=10, seed=1, load_dist=load_dist, ci_dist=ci_dist, correlated=True)
+
     def test_correlated_negative_control(self):
         result = compare_with_means(spec(steps=100_000, correlated=True), 0.3, 444.0)
         assert result.z_score > 3.0

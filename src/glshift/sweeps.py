@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import _emissions, _where
 from .scenario import ScenarioConfig
+
+# numpy is imported inside the functions that make arrays, so that
+# `gls evaluate` and `gls growth` never pay for loading it
+if TYPE_CHECKING:
+    import numpy as np
 
 VARIANTS = ("full", "zero_idle", "zero_embodied", "no_time_constraints")
 SWEEP_PARAMETERS = ("load_both", "load_hi")
@@ -50,6 +54,9 @@ class SweepSpec:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
+        repeated = {v for v in self.variants if self.variants.count(v) > 1}
+        if repeated:
+            raise ValueError(f"repeated variants: {sorted(repeated)}")
         intervals = (self.stop - self.start) / self.step
         if not (intervals < MAX_GRID_POINTS and round(intervals) < MAX_GRID_POINTS):
             raise ValueError(
@@ -57,6 +64,8 @@ class SweepSpec:
             )
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         count = int(round((self.stop - self.start) / self.step))
         return np.minimum(self.start + np.arange(count + 1) * self.step, self.stop)
 
@@ -77,6 +86,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     reported as its right-hand limit, which for equal-load sweeps equals
     the constant value on (0, 0.5].
     """
+    import numpy as np
+
     base = spec.base
     fixed_lo = spec.swept_parameter == "load_hi"
     bare_hi = replace(base.hi, embodied_per_node=0.0)
@@ -123,6 +134,8 @@ def kink_location(rows: list[SweepRow], variant: str, tol: float = 1e-9) -> floa
     """
     if len(rows) < 3:
         raise ValueError("kink detection needs at least 3 rows")
+    import numpy as np
+
     values = np.fromiter((row.reductions[variant] for row in rows), float, len(rows))
     mags = np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])
     candidates = np.where(mags > tol, mags, -np.inf)

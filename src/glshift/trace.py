@@ -15,8 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+# numpy is imported inside the functions that make arrays, so that
+# `gls evaluate` and `gls growth` never pay for loading it
+if TYPE_CHECKING:
+    import numpy as np
+
+MAX_TRACE_STEPS = 31_536_000  # one year at one-second resolution
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,8 @@ class TwoPoint:
         return self.prob_a * self.value_a + (1.0 - self.prob_a) * self.value_b
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        import numpy as np
+
         picks = rng.random(n) < self.prob_a
         return np.where(picks, self.value_a, self.value_b)
 
@@ -83,12 +91,16 @@ class TraceSpec:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.steps > MAX_TRACE_STEPS:
+            raise ValueError(f"steps must be <= {MAX_TRACE_STEPS:,}")
         if self.correlated and not (
             isinstance(self.ci_dist, Uniform) and isinstance(self.load_dist, Uniform)
         ):
             raise ValueError("correlated traces need a Uniform load_dist and ci_dist")
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         rng = np.random.default_rng(self.seed)
         loads = self.load_dist.sample(rng, self.steps)
         cis = self.ci_dist.sample(rng, self.steps)
@@ -141,6 +153,8 @@ def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceC
         raise ValueError("gamma must be in [0,1]")
     if not 0.0 <= embodied < math.inf:
         raise ValueError("embodied must be >= 0 and finite")
+    import numpy as np
+
     loads, cis = spec.draw()
     # overflow is reported below as one error, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):

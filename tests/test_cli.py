@@ -176,6 +176,14 @@ class TestSweep:
         assert out == ""
         assert err == "error: kink detection needs at least 3 rows\n"
 
+    def test_repeated_variants_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "table2_s1", "--variants", "full,full", "--step", "0.5",
+        )
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: repeated variants: ['full']\n"
+
 
 class TestGrowth:
     def test_half_reduction(self, capsys):
@@ -224,6 +232,13 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--load-min", "0.9", "--load-max", "0.2")
         assert code == EXIT_VALIDATION
         assert "error" in err
+
+    @pytest.mark.parametrize("steps", ["31536001", "1000000000000000"])
+    def test_too_many_steps_rejected_before_any_allocation(self, capsys, steps):
+        code, out, err = run(capsys, "oracle", "--steps", steps)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: steps must be <= 31,536,000\n"
 
 
 @pytest.mark.parametrize(

@@ -377,6 +377,20 @@ class TestGridBound:
             SweepSpec(base=read_bundled("table2_s1"), step=math.nan)
 
 
+class TestVariantNames:
+    @pytest.mark.parametrize(
+        "variants,repeated",
+        [
+            (("full", "full"), "['full']"),
+            (("zero_idle", "full", "zero_idle", "full"), "['full', 'zero_idle']"),
+        ],
+    )
+    def test_repeated_variants_rejected_in_one_line(self, variants, repeated):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(base=read_bundled("table2_s1"), variants=variants)
+        assert str(info.value) == f"repeated variants: {repeated}"
+
+
 class TestKinkLocation:
     @given(
         values=st.lists(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from glshift import TraceSpec, TwoPoint, Uniform, compare_with_means
-from glshift.trace import closed_form_total
+from glshift.trace import MAX_TRACE_STEPS, closed_form_total
 
 DEFAULT_LOAD = Uniform(0.6, 1.0)
 DEFAULT_CI = Uniform(300.0, 500.0)
@@ -116,3 +116,19 @@ class TestCompareWithMeans:
         assert result.closed_form_total == 788.0
         assert result.sample_mean_total == pytest.approx(787.9555611316018, rel=1e-12)
         assert result.z_score == pytest.approx(-0.1265170929636193, rel=1e-9)
+
+
+class TestStepsCap:
+    """Specs are constructed only: no trace near the cap is ever drawn."""
+
+    def test_cap_covers_the_benchmark_trace(self):
+        assert MAX_TRACE_STEPS >= 17_000_000
+
+    def test_largest_trace_accepted(self):
+        assert spec(steps=MAX_TRACE_STEPS).steps == MAX_TRACE_STEPS
+
+    @pytest.mark.parametrize("steps", [MAX_TRACE_STEPS + 1, 10**15, 10**400])
+    def test_longer_trace_rejected_in_one_line(self, steps):
+        with pytest.raises(ValueError, match="steps must be <=") as info:
+            spec(steps=steps)
+        assert "\n" not in str(info.value)

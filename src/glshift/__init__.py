@@ -30,7 +30,7 @@ from .sweeps import (
     run_sweep,
     years_compensated,
 )
-from .trace import TraceSpec, TwoPoint, Uniform, compare_with_means
+from .trace import TraceSpec, Uniform, compare_with_means
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TraceSpec",
-    "TwoPoint",
     "Uniform",
     "blended_emissions",
     "capacity_projection",

@@ -159,10 +159,6 @@ def cmd_growth(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    if not 0.0 <= args.load_min <= args.load_max <= 1.0:
-        raise ModelError("load bounds must satisfy 0 <= min <= max <= 1")
-    if not 0.0 <= args.ci_min <= args.ci_max < math.inf:
-        raise ModelError("rate bounds must satisfy 0 <= min <= max < inf")
     spec = TraceSpec(
         steps=args.steps,
         seed=args.seed,

@@ -40,11 +40,18 @@ class NodePowerModel:
 
     def __post_init__(self) -> None:
         _require(self.active_power > 0, "active_power must be > 0")
+        _require(self.active_power < math.inf, "active_power must be finite")
         _require(self.pue >= 1.0, "pue must be >= 1")
+        _require(self.pue < math.inf, "pue must be finite")
         _require(self.carbon_intensity >= 0.0, "carbon_intensity must be >= 0")
+        _require(self.carbon_intensity < math.inf, "carbon_intensity must be finite")
         _require(
             self.network_overhead_fraction >= 0.0,
             "network_overhead_fraction must be >= 0",
+        )
+        _require(
+            self.network_overhead_fraction < math.inf,
+            "network_overhead_fraction must be finite",
         )
 
 
@@ -67,7 +74,9 @@ class SiteClass:
         _require(self.nodes_per_site >= 1, "nodes_per_site must be >= 1")
         _require(0.0 <= self.load <= 1.0, "load must be in [0,1]")
         _require(self.embodied_per_node >= 0.0, "embodied_per_node must be >= 0")
+        _require(self.embodied_per_node < math.inf, "embodied_per_node must be finite")
         _require(self.op_full_per_node >= 0.0, "op_full_per_node must be >= 0")
+        _require(self.op_full_per_node < math.inf, "op_full_per_node must be finite")
 
     @property
     def embodied_per_site(self) -> float:
@@ -237,6 +246,10 @@ def ideal_reduction(c_hi: float, c_lo: float, load: float) -> float:
     work movable all the time, equal loads on both sides.
     """
     _require(0.0 <= load <= 1.0, "load must be in [0,1]")
+    _require(
+        0.0 <= c_hi < math.inf and 0.0 <= c_lo < math.inf,
+        "c_hi and c_lo must be >= 0 and finite",
+    )
     total = c_hi + c_lo
     if total <= 0.0:
         raise ModelError("ideal_reduction undefined for c_hi + c_lo = 0")

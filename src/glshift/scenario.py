@@ -59,6 +59,11 @@ class RegionProfile:
             raise ScenarioError(
                 f"region {self.name!r}: renewable_hours_per_day must be in (0, 24)"
             )
+        sunshine = self.sunshine_hours_per_year
+        if sunshine is not None and not 0.0 <= sunshine < math.inf:
+            raise ScenarioError(
+                f"region {self.name!r}: sunshine_hours_per_year must be >= 0 and finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,8 @@ def solar_beta(
         raise ScenarioError("solar_beta needs at least one region")
     if not (0.0 <= overlap_factor <= 1.0):
         raise ScenarioError("overlap_factor must be in [0,1]")
+    if not always_low_count >= 0:
+        raise ScenarioError("always_low_count must be >= 0")
     total = 0.0
     for p in profiles:
         if p.sunshine_hours_per_year is None:
@@ -150,9 +157,12 @@ def nodes_from_power_budget(budget_w: float, model: NodePowerModel) -> int:
     Rounds to the nearest whole node, so the facility draw can exceed
     the budget by at most half a node's draw.
     """
-    if budget_w <= 0.0:
-        raise ScenarioError("power budget must be > 0")
-    return round(budget_w / (model.active_power * model.pue))
+    if not 0.0 < budget_w < math.inf:
+        raise ScenarioError("power budget must be > 0 and finite")
+    nodes = budget_w / (model.active_power * model.pue)
+    if nodes == math.inf:
+        raise ScenarioError("power budget gives more nodes than a float holds")
+    return round(nodes)
 
 
 # section -> {file key: model field}; every key is required, except the

@@ -165,7 +165,14 @@ def capacity_projection(
     Energy assumes continuous draw at the projected power: 1 GW is
     8.76 TWh/y.
     """
-    if base_power_gw <= 0.0 or years < 0:
-        raise ValueError("need base_power_gw > 0 and years >= 0")
-    power = base_power_gw * (1.0 + annual_growth) ** years
+    if not (0.0 < base_power_gw < math.inf and -1.0 < annual_growth < math.inf and years >= 0):
+        raise ValueError(
+            "need a finite base_power_gw > 0, a finite annual_growth > -1 and years >= 0"
+        )
+    try:
+        power = base_power_gw * (1.0 + annual_growth) ** years
+    except OverflowError:  # float ** int raises where float * float gives inf
+        power = math.inf
+    if power * 8.76 == math.inf:
+        raise ValueError("projected capacity is too large for a float")
     return power, power * 8.76

@@ -40,70 +40,41 @@ class Uniform:
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n)
-
-
-@dataclass(frozen=True)
-class TwoPoint:
-    """Distribution taking value_a with probability prob_a, else value_b."""
-
-    value_a: float
-    value_b: float
-    prob_a: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.prob_a <= 1.0):
-            raise ValueError("prob_a must be in [0,1]")
-
-    @property
-    def mean(self) -> float:
-        return self.prob_a * self.value_a + (1.0 - self.prob_a) * self.value_b
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        import numpy as np
-
-        picks = rng.random(n) < self.prob_a
-        return np.where(picks, self.value_a, self.value_b)
-
-
-Distribution = Uniform | TwoPoint
-
 
 @dataclass(frozen=True)
 class TraceSpec:
-    """A seeded pair of load and emission-rate traces.
+    """A seeded pair of uniform load and emission-rate traces.
 
     ci_dist draws the full-load operational emission rate (kg/y per
-    site-group, any fixed unit); load_dist draws the load in [0,1].  The
-    two traces are drawn independently unless correlated is set, in
-    which case the load trace is an affine image of the rate trace onto
-    the load range (negative control: the closed form is then biased by
-    the covariance); both distributions must then be Uniform.
+    site-group, any fixed unit), within [0, inf); load_dist draws the
+    load, within [0,1].  The two traces are drawn independently unless
+    correlated is set, in which case the load trace is an affine image
+    of the rate trace onto the load range (negative control: the closed
+    form is then biased by the covariance).
     """
 
     steps: int
     seed: int
-    load_dist: Distribution
-    ci_dist: Distribution
+    load_dist: Uniform
+    ci_dist: Uniform
     correlated: bool = False
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.load_dist.low <= self.load_dist.high <= 1.0:
+            raise ValueError("load bounds must satisfy 0 <= min <= max <= 1")
+        if not 0.0 <= self.ci_dist.low <= self.ci_dist.high < math.inf:
+            raise ValueError("rate bounds must satisfy 0 <= min <= max < inf")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.steps > MAX_TRACE_STEPS:
             raise ValueError(f"steps must be <= {MAX_TRACE_STEPS:,}")
-        if self.correlated and not (
-            isinstance(self.ci_dist, Uniform) and isinstance(self.load_dist, Uniform)
-        ):
-            raise ValueError("correlated traces need a Uniform load_dist and ci_dist")
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
         import numpy as np
 
         rng = np.random.default_rng(self.seed)
-        loads = self.load_dist.sample(rng, self.steps)
-        cis = self.ci_dist.sample(rng, self.steps)
+        loads = rng.uniform(self.load_dist.low, self.load_dist.high, self.steps)
+        cis = rng.uniform(self.ci_dist.low, self.ci_dist.high, self.steps)
         if self.correlated:
             # map the rate trace affinely onto the load distribution's range
             lo, hi = self.ci_dist.low, self.ci_dist.high

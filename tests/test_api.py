@@ -22,7 +22,6 @@ PUBLIC_API = [
     "SweepRow",
     "SweepSpec",
     "TraceSpec",
-    "TwoPoint",
     "Uniform",
     "blended_emissions",
     "capacity_projection",

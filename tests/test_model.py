@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -85,6 +86,29 @@ class TestOpFullPerNode:
             NodePowerModel(0.0, 1.16, 41.0)
         with pytest.raises(ModelError):
             NodePowerModel(1000.0, 0.9, 41.0)
+
+    @pytest.mark.parametrize(
+        "field", ["active_power", "pue", "carbon_intensity", "network_overhead_fraction"]
+    )
+    def test_infinite_value_rejected(self, field):
+        """An infinite value made op_full_per_node NaN (inf * 0) or infinite."""
+        values = {"active_power": 1000.0, "pue": 1.2, "carbon_intensity": 0.0}
+        with pytest.raises(ModelError, match=f"^{field} must be finite$"):
+            NodePowerModel(**{**values, field: math.inf})
+
+
+class TestSiteClassRanges:
+    @pytest.mark.parametrize("field", ["embodied_per_node", "op_full_per_node"])
+    def test_infinite_value_rejected(self, field):
+        """An infinite value made blended_emissions return inf totals and a NaN reduction."""
+        with pytest.raises(ModelError, match=f"^{field} must be finite$"):
+            dataclasses.replace(HPC_HI, **{field: math.inf})
+
+    @pytest.mark.parametrize("field", ["embodied_per_node", "op_full_per_node"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan, -math.inf])
+    def test_existing_message_kept(self, field, value):
+        with pytest.raises(ModelError, match=f"^{field} must be >= 0$"):
+            dataclasses.replace(HPC_HI, **{field: value})
 
 
 class TestOperationalFactor:
@@ -330,6 +354,15 @@ class TestIdealReduction:
     def test_undefined_for_zero_emissions(self):
         with pytest.raises(ModelError):
             ideal_reduction(0.0, 0.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "c_hi,c_lo",
+        [(1.0, -0.5), (-1.0, 2.0), (math.inf, 211.0), (369.0, math.inf), (math.nan, 211.0)],
+    )
+    def test_negative_or_non_finite_intensity_rejected(self, c_hi, c_lo):
+        """(1.0, -0.5) gave a 300 % reduction and an infinite intensity NaN."""
+        with pytest.raises(ModelError, match="^c_hi and c_lo must be >= 0 and finite$"):
+            ideal_reduction(c_hi, c_lo, 0.3)
 
     @given(load=st.floats(0.0, 0.5))
     def test_plateau_below_half_load(self, load):

@@ -113,6 +113,17 @@ class TestSolarBeta:
         with pytest.raises(ScenarioError):
             solar_beta([UK])
 
+    def test_negative_always_low_count_rejected(self):
+        """-1 with one region divided by zero."""
+        with pytest.raises(ScenarioError, match="^always_low_count must be >= 0$"):
+            solar_beta(self.PROFILES[:1], always_low_count=-1)
+
+    @pytest.mark.parametrize("hours", [-1000.0, math.nan, math.inf])
+    def test_negative_or_non_finite_sunshine_rejected(self, hours):
+        """-1000 gave a beta of -0.342 and NaN a beta of 1.0 (min(1.0, nan) is 1.0)."""
+        with pytest.raises(ScenarioError, match="sunshine_hours_per_year must be >= 0 and finite"):
+            RegionProfile("UK", 211.0, 41.0, sunshine_hours_per_year=hours)
+
     @given(
         hours=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=6),
         always_low=st.integers(0, 4),
@@ -163,6 +174,18 @@ class TestNodesFromPowerBudget:
     def test_unity_pue(self):
         model = NodePowerModel(4550.0, 1.0, 41.0)
         assert nodes_from_power_budget(300e6, model) == 65_934
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
+    def test_budget_not_positive_and_finite_rejected(self, budget):
+        """inf raised OverflowError and NaN a ValueError from round()."""
+        model = NodePowerModel(4550.0, 1.16, 41.0)
+        with pytest.raises(ScenarioError, match="^power budget must be > 0 and finite$"):
+            nodes_from_power_budget(budget, model)
+
+    def test_node_count_beyond_float_range_rejected(self):
+        model = NodePowerModel(1e-10, 1.0, 41.0)
+        with pytest.raises(ScenarioError, match="more nodes than a float holds"):
+            nodes_from_power_budget(1e308, model)
 
     def test_facility_draw_close_to_budget(self):
         model = NodePowerModel(4550.0, 1.16, 41.0)

@@ -482,3 +482,24 @@ class TestCapacityProjection:
     def test_fifteen_year_growth_factor(self):
         power, _ = capacity_projection(1.0, 0.22, 15)
         assert power == pytest.approx(19.8, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "base,growth",
+        [(math.nan, 0.22), (math.inf, 0.22), (0.0, 0.22), (1.0, -1.0), (1.0, -2.0),
+         (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_invalid_base_or_growth_rejected(self, base, growth):
+        """A growth of -2 gave -1 GW and a NaN base returned (nan, nan)."""
+        with pytest.raises(ValueError, match="^need a finite base_power_gw > 0") as info:
+            capacity_projection(base, growth, 2)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("base,growth,years", [(1.0, 1e308, 2), (1e308, 1.0, 1)])
+    def test_overflowing_projection_rejected(self, base, growth, years):
+        """(1 + 1e308) ** 2 raised OverflowError."""
+        with pytest.raises(ValueError, match="^projected capacity is too large for a float$"):
+            capacity_projection(base, growth, years)
+
+    def test_shrinking_capacity_allowed(self):
+        power, _ = capacity_projection(10.0, -0.5, 1)
+        assert power == 5.0

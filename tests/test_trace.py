@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from glshift import TraceSpec, TwoPoint, Uniform, compare_with_means
+from glshift import TraceSpec, Uniform, compare_with_means
 from glshift.trace import MAX_TRACE_STEPS, closed_form_total
 
 DEFAULT_LOAD = Uniform(0.6, 1.0)
@@ -27,15 +27,6 @@ def spec(steps: int = 100_000, seed: int = 42, correlated: bool = False) -> Trac
 class TestDistributions:
     def test_uniform_mean(self):
         assert Uniform(300.0, 500.0).mean == 400.0
-
-    def test_two_point_mean(self):
-        assert TwoPoint(10.0, 20.0, prob_a=0.25).mean == pytest.approx(17.5)
-
-    def test_two_point_sampling(self):
-        dist = TwoPoint(1.0, 2.0, prob_a=0.5)
-        values = dist.sample(np.random.default_rng(0), 10_000)
-        assert set(np.unique(values)) == {1.0, 2.0}
-        assert np.mean(values) == pytest.approx(1.5, abs=0.05)
 
 
 class TestEvaluateTrace:
@@ -92,15 +83,6 @@ class TestCompareWithMeans:
         slope = np.polyfit(np.log10(sizes), np.log10(rms), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)
 
-    @pytest.mark.parametrize(
-        "load_dist,ci_dist",
-        [(TwoPoint(0.6, 0.9), DEFAULT_CI), (DEFAULT_LOAD, TwoPoint(300.0, 500.0))],
-    )
-    def test_correlated_needs_uniform_distributions(self, load_dist, ci_dist):
-        """A correlated trace maps rates onto a load range: a TwoPoint has none."""
-        with pytest.raises(ValueError, match="Uniform"):
-            TraceSpec(steps=10, seed=1, load_dist=load_dist, ci_dist=ci_dist, correlated=True)
-
     def test_correlated_negative_control(self):
         result = compare_with_means(spec(steps=100_000, correlated=True), 0.3, 444.0)
         assert result.z_score > 3.0
@@ -131,4 +113,24 @@ class TestStepsCap:
     def test_longer_trace_rejected_in_one_line(self, steps):
         with pytest.raises(ValueError, match="steps must be <=") as info:
             spec(steps=steps)
+        assert "\n" not in str(info.value)
+
+
+class TestRangeRules:
+    """TraceSpec holds the oracle's range rules, so API callers get them too."""
+
+    @pytest.mark.parametrize(
+        "low,high", [(-0.1, 1.0), (0.0, 1.5), (math.nan, 1.0), (0.0, math.nan)]
+    )
+    def test_load_bound_outside_unit_interval_rejected(self, low, high):
+        with pytest.raises(ValueError, match="load bounds must satisfy") as info:
+            TraceSpec(steps=10, seed=1, load_dist=Uniform(low, high), ci_dist=DEFAULT_CI)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "low,high", [(-1.0, 500.0), (300.0, math.inf), (math.nan, 500.0), (300.0, math.nan)]
+    )
+    def test_rate_bound_negative_or_not_finite_rejected(self, low, high):
+        with pytest.raises(ValueError, match="rate bounds must satisfy") as info:
+            TraceSpec(steps=10, seed=1, load_dist=DEFAULT_LOAD, ci_dist=Uniform(low, high))
         assert "\n" not in str(info.value)

@@ -14,7 +14,6 @@ from .scenario import (
     RegionProfile,
     ScenarioConfig,
     ScenarioError,
-    format_scenario,
     fossil_ci_backout,
     load_scenario,
     mean_fossil_ci,
@@ -50,7 +49,6 @@ __all__ = [
     "blended_emissions",
     "capacity_projection",
     "compare_with_means",
-    "format_scenario",
     "fossil_ci_backout",
     "ideal_reduction",
     "kink_location",

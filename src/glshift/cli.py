@@ -9,12 +9,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
-from .model import EmissionsReport, ModelError, blended_emissions
-from .scenario import ScenarioConfig, ScenarioError, load_scenario
-from .sweeps import VARIANTS, SweepSpec, kink_location, run_sweep, years_compensated
+from .model import EmissionsReport, blended_emissions
+from .scenario import ScenarioConfig, load_scenario
+from .sweeps import (
+    SWEEP_PARAMETERS, VARIANTS, SweepSpec, kink_location, run_sweep, years_compensated,
+)
 from .trace import TraceSpec, Uniform, compare_with_means
 
 EXIT_OK = 0
@@ -36,14 +37,8 @@ def tonnes(kg: float) -> int:
 
 def builtin_scenario_path(name: str) -> Path | None:
     """Path of a bundled scenario file, or None if there is no such file."""
-    root = resources.files("glshift") / "scenarios" / f"{name}.scenario"
-    path = Path(str(root))
+    path = Path(__file__).with_name("scenarios") / f"{name}.scenario"
     return path if path.is_file() else None
-
-
-def list_builtin_scenarios() -> list[str]:
-    root = Path(str(resources.files("glshift") / "scenarios"))
-    return sorted(p.stem for p in root.glob("*.scenario"))
 
 
 def _read_scenario(path_arg: str) -> ScenarioConfig:
@@ -192,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="reduction-vs-load sweep as CSV")
     p_sweep.add_argument("scenario", help="scenario file path or bundled scenario name")
-    p_sweep.add_argument("--param", choices=("load_both", "load_hi"), default="load_both")
+    p_sweep.add_argument("--param", choices=SWEEP_PARAMETERS, default="load_both")
     p_sweep.add_argument("--from", dest="start", type=float, default=0.0)
     p_sweep.add_argument("--to", dest="stop", type=float, default=1.0)
     p_sweep.add_argument("--step", type=float, default=0.01)
@@ -228,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ModelError, ValueError) as exc:
+    except ValueError as exc:  # ScenarioError and ModelError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -55,6 +55,8 @@ class RegionProfile:
             raise ScenarioError(
                 f"region {self.name!r}: need 0 <= renewable_ci <= average_ci"
             )
+        if not self.average_ci < math.inf:
+            raise ScenarioError(f"region {self.name!r}: average_ci must be finite")
         if not (0.0 < self.renewable_hours_per_day < 24.0):
             raise ScenarioError(
                 f"region {self.name!r}: renewable_hours_per_day must be in (0, 24)"
@@ -93,6 +95,8 @@ def fossil_ci_backout(profile: RegionProfile) -> float:
         raise ScenarioError(
             f"region {profile.name!r}: renewable CI exceeds what the average permits"
         )
+    if not fossil < math.inf:
+        raise ScenarioError(f"region {profile.name!r}: fossil CI too large for a float")
     return fossil
 
 
@@ -100,7 +104,10 @@ def mean_fossil_ci(profiles: list[RegionProfile]) -> float:
     """Arithmetic mean of the backed-out fossil CI over several regions."""
     if not profiles:
         raise ScenarioError("mean_fossil_ci needs at least one region")
-    return sum(fossil_ci_backout(p) for p in profiles) / len(profiles)
+    mean = sum(fossil_ci_backout(p) for p in profiles) / len(profiles)
+    if not mean < math.inf:
+        raise ScenarioError("mean fossil CI too large for a float")
+    return mean
 
 
 def solar_beta(
@@ -122,6 +129,8 @@ def solar_beta(
         raise ScenarioError("overlap_factor must be in [0,1]")
     if not always_low_count >= 0:
         raise ScenarioError("always_low_count must be >= 0")
+    if not always_low_count < math.inf:
+        raise ScenarioError("always_low_count must be finite")
     total = 0.0
     for p in profiles:
         if p.sunshine_hours_per_year is None:
@@ -154,12 +163,14 @@ def wind_beta(
 def nodes_from_power_budget(budget_w: float, model: NodePowerModel) -> int:
     """Node count whose full-load facility draw matches the budget.
 
-    Rounds to the nearest whole node, so the facility draw can exceed
-    the budget by at most half a node's draw.
+    A node draws its active power plus the network overhead, times the
+    PUE.  Rounds to the nearest whole node, so the facility draw can
+    exceed the budget by at most half a node's draw.
     """
     if not 0.0 < budget_w < math.inf:
         raise ScenarioError("power budget must be > 0 and finite")
-    nodes = budget_w / (model.active_power * model.pue)
+    draw = model.active_power * (1.0 + model.network_overhead_fraction) * model.pue
+    nodes = budget_w / draw
     if nodes == math.inf:
         raise ScenarioError("power budget gives more nodes than a float holds")
     return round(nodes)
@@ -292,10 +303,11 @@ def _site_class(
         # (op_hi, op_lo and the overhead each stay below sites * nodes * op);
         # a quarter of the float range leaves room for rounding
         if not float(sites) * nodes * (embodied + 2.0 * op) <= sys.float_info.max / 4.0:
-            # blame the largest number in the section
-            _, lineno, key = max(
-                (float(v), n, k) for s in (section, common) for k, (v, n) in s.items()
-            )
+            # blame the largest of the numbers the bound reads; all parsed above
+            read = [(common, "embodied_kg_per_node_year")] + [
+                (section, k) for k in ("sites", "nodes", "op_kg_per_node_year", *_POWER_MODEL)
+            ]
+            _, lineno, key = max((float(s[k][0]), s[k][1], k) for s, k in read if k in s)
             raise ScenarioError(f"key {key!r}: annual totals too large for a float", lineno)
         return SiteClass(
             site_count=sites,
@@ -339,36 +351,3 @@ def load_scenario(text: str) -> ScenarioConfig:
         )
     except ModelError as exc:
         raise _range_error(exc, common, shift) from exc
-
-
-def format_scenario(config: ScenarioConfig) -> str:
-    """Serialise a config back to the scenario file format.
-
-    Round-trips: load_scenario(format_scenario(c)) equals c.
-    """
-    lines = [
-        "[scenario]",
-        f"name = {config.name}",
-        "",
-    ]
-    for label, site in (("hi", config.hi), ("lo", config.lo)):
-        lines += [
-            f"[{label}]",
-            f"sites = {site.site_count}",
-            f"nodes = {site.nodes_per_site}",
-            f"load = {site.load!r}",
-            f"op_kg_per_node_year = {site.op_full_per_node!r}",
-            "",
-        ]
-    lines += [
-        "[common]",
-        f"gamma = {config.gamma!r}",
-        f"embodied_kg_per_node_year = {config.hi.embodied_per_node!r}",
-        "",
-        "[shift]",
-        f"alpha = {config.policy.alpha!r}",
-        f"beta = {config.policy.beta!r}",
-        f"eta = {config.policy.eta!r}",
-        "",
-    ]
-    return "\n".join(lines)

@@ -32,10 +32,6 @@ class Uniform:
     low: float
     high: float
 
-    def __post_init__(self) -> None:
-        if self.high < self.low:
-            raise ValueError("need low <= high")
-
     @property
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)

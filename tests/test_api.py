@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 from pathlib import Path
 
 import glshift
 import glshift.cli
 
 # growing or shrinking the package root's API is a deliberate change:
-# edit this list, the README's "Python API" section and the CHANGES entry
+# edit this list, the README's "Python API" section (checked below) and
+# the CHANGES entry
 PUBLIC_API = [
     "EmissionsReport",
     "ModelError",
@@ -26,7 +28,6 @@ PUBLIC_API = [
     "blended_emissions",
     "capacity_projection",
     "compare_with_means",
-    "format_scenario",
     "fossil_ci_backout",
     "ideal_reduction",
     "kink_location",
@@ -56,6 +57,17 @@ def test_all_is_pinned():
 def test_every_name_resolves():
     for name in PUBLIC_API:
         assert hasattr(glshift, name), name
+
+
+def test_readme_lists_the_api():
+    """README's "Python API" table and its name count follow __all__."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Python API\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `glshift.")]
+    names = [name for row in rows for name in re.findall(r"`(\w+)`", row[2])]
+    assert sorted(names) == sorted(glshift.__all__)
+    assert f"exports {len(glshift.__all__)} names" in section
 
 
 def test_benchmark_names_are_exported():

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import glshift.cli
 from glshift.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_STATISTICAL,
     EXIT_VALIDATION,
     builtin_scenario_path,
-    list_builtin_scenarios,
     main,
     round_half_away,
 )
@@ -38,7 +39,8 @@ class TestRounding:
 
 class TestBuiltinScenarios:
     def test_seven_scenarios_ship(self):
-        assert list_builtin_scenarios() == [
+        scenarios = Path(glshift.cli.__file__).with_name("scenarios")
+        assert sorted(path.stem for path in scenarios.glob("*.scenario")) == [
             "table1_solar",
             "table1_wind",
             "table2_s1",
@@ -123,6 +125,26 @@ class TestEvaluate:
         assert out == ""
         assert err.startswith("error: line 7: key 'nodes': annual totals too large")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [
+            ("load = 1.0", "load = abc"),
+            ("gamma = 0.3", "gamma = 0.3x"),
+            ("load = 1.0", "load = 1e999"),
+        ],
+        ids=["abc", "gamma", "1e999"],
+    )
+    def test_overflow_blames_a_key_the_bound_reads(self, tmp_path, capsys, old, new):
+        """A key not parsed yet gave a bare ValueError, or was blamed itself."""
+        text = builtin_scenario_path("table2_s1").read_text(encoding="utf-8")
+        text = text.replace("nodes = 100", "nodes = 1" + "0" * 306, 1).replace(old, new, 1)
+        path = tmp_path / "huge.scenario"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: line 8: key 'nodes': annual totals too large for a float\n"
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "evaluate", "table1_solar", "--csv")
@@ -229,9 +251,15 @@ class TestOracle:
         assert z > 3.0
 
     def test_invalid_distribution(self, capsys):
-        code, _, err = run(capsys, "oracle", "--load-min", "0.9", "--load-max", "0.2")
+        """Inverted bounds get TraceSpec's range messages."""
+        code, out, err = run(capsys, "oracle", "--load-min", "0.9", "--load-max", "0.2")
         assert code == EXIT_VALIDATION
-        assert "error" in err
+        assert out == ""
+        assert err == "error: load bounds must satisfy 0 <= min <= max <= 1\n"
+        code, out, err = run(capsys, "oracle", "--ci-min", "500", "--ci-max", "300")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: rate bounds must satisfy 0 <= min <= max < inf\n"
 
     @pytest.mark.parametrize("steps", ["31536001", "1000000000000000"])
     def test_too_many_steps_rejected_before_any_allocation(self, capsys, steps):

@@ -151,7 +151,7 @@ def wind_beta(
     Scales an idealised always-enough-wind assumption down by the real
     load factor and by a penalty for correlated weather across regions.
     """
-    if ideal_load_factor <= 0.0 or ideal_load_factor > 1.0:
+    if not 0.0 < ideal_load_factor <= 1.0:
         raise ScenarioError("ideal_load_factor must be in (0,1]")
     if not (0.0 <= actual_load_factor <= ideal_load_factor):
         raise ScenarioError("actual_load_factor must be in [0, ideal_load_factor]")

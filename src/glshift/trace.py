@@ -8,12 +8,19 @@ seeded traces, integrates them step by step and compares against that
 closed form, including a deliberately correlated negative control.
 
 Trace generation uses numpy's default_rng (PCG64) seeded with a 64-bit
-integer, so identical specs give bit-identical totals.
+integer, so identical specs give bit-identical totals.  The traces are
+made and reduced in blocks of BLOCK_STEPS steps, so memory is bounded by
+one block whatever the length.  The steps are those of one whole-array
+draw: all the loads from default_rng(seed), then all the rates.  The
+load blocks come from one generator; the rate blocks come from a second
+generator on the same seed whose stream is advanced by `steps` outputs
+(PCG64 spends one output per double), to where the loads end.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,6 +30,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 MAX_TRACE_STEPS = 31_536_000  # one year at one-second resolution
+BLOCK_STEPS = 1 << 16  # 512 KiB per array: a block's passes stay in cache
 
 
 @dataclass(frozen=True)
@@ -65,19 +73,25 @@ class TraceSpec:
         if self.steps > MAX_TRACE_STEPS:
             raise ValueError(f"steps must be <= {MAX_TRACE_STEPS:,}")
 
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The load and rate traces, BLOCK_STEPS steps at a time."""
         import numpy as np
 
-        rng = np.random.default_rng(self.seed)
-        loads = rng.uniform(self.load_dist.low, self.load_dist.high, self.steps)
-        cis = rng.uniform(self.ci_dist.low, self.ci_dist.high, self.steps)
-        if self.correlated:
-            # map the rate trace affinely onto the load distribution's range
-            lo, hi = self.ci_dist.low, self.ci_dist.high
-            span = hi - lo
-            unit = (cis - lo) / span if span > 0.0 else np.zeros_like(cis)
-            loads = self.load_dist.low + unit * (self.load_dist.high - self.load_dist.low)
-        return loads, cis
+        load_rng = np.random.default_rng(self.seed)
+        rate_rng = np.random.default_rng(self.seed)
+        rate_rng.bit_generator.advance(self.steps)
+        load, rate = self.load_dist, self.ci_dist
+        span = rate.high - rate.low
+        for start in range(0, self.steps, BLOCK_STEPS):
+            size = min(BLOCK_STEPS, self.steps - start)
+            cis = rate_rng.uniform(rate.low, rate.high, size)
+            if self.correlated:
+                # map the rate trace affinely onto the load distribution's range
+                unit = (cis - rate.low) / span if span > 0.0 else np.zeros_like(cis)
+                loads = load.low + unit * (load.high - load.low)
+            else:
+                loads = load_rng.uniform(load.low, load.high, size)
+            yield loads, cis
 
 
 def closed_form_total(load_mean, ci_mean, gamma: float, embodied: float):
@@ -122,20 +136,42 @@ def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceC
         raise ValueError("embodied must be >= 0 and finite")
     import numpy as np
 
-    loads, cis = spec.draw()
-    # overflow is reported below as one error, not as numpy warnings
+    load_sum = ci_sum = rate_sum = product_sum = 0.0
+    # running count, mean and sum of squared deviations of the rates,
+    # merged block by block (Chan et al.)
+    count, rate_mean, rate_m2 = 0, 0.0, 0.0
+    # overflow is reported below as one error, not as numpy warnings or
+    # an OverflowError: the running sums are floats that go to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = closed_form_total(loads, cis, gamma, embodied)
-        trace_total = float(np.mean(rates))
-        closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
-        sample_mean = closed_form_total(
-            float(np.mean(loads)), float(np.mean(cis)), gamma, embodied
-        )
-        if spec.steps > 1:
-            stderr = float(np.std(rates, ddof=1)) / math.sqrt(spec.steps)
-        else:
-            stderr = 0.0
-        cov = float(np.mean(loads * cis) - np.mean(loads) * np.mean(cis))
+        for loads, cis in spec.blocks():
+            rates = closed_form_total(loads, cis, gamma, embodied)
+            load_sum += float(np.sum(loads))
+            ci_sum += float(np.sum(cis))
+            rate_sum += float(np.sum(rates))
+            # no np.dot: a threaded BLAS stalled cold runs by 10-30 ms
+            product_sum += float(np.sum(loads * cis))
+            # deviations from the block's first rate: a constant trace
+            # gives exactly zero spread
+            size, shift = len(rates), float(rates[0])
+            deviations = rates - shift
+            deviation_sum = float(np.sum(deviations))
+            square_sum = float(np.sum(np.square(deviations, out=deviations)))
+            # clamped: rounding must not leave a negative spread for sqrt
+            block_m2 = max(square_sum - deviation_sum * deviation_sum / size, 0.0)
+            delta = shift + deviation_sum / size - rate_mean
+            weight = size / (count + size)
+            rate_mean += weight * delta
+            # count * weight first: it is 0 on the first block, so a huge
+            # first mean cannot give inf * 0
+            rate_m2 += block_m2 + count * weight * delta * delta
+            count += size
+    steps = spec.steps
+    trace_total = rate_sum / steps
+    closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
+    load_mean, ci_mean = load_sum / steps, ci_sum / steps
+    sample_mean = closed_form_total(load_mean, ci_mean, gamma, embodied)
+    stderr = math.sqrt(rate_m2 / (steps - 1)) / math.sqrt(steps) if steps > 1 else 0.0
+    cov = product_sum / steps - load_mean * ci_mean
     if not all(map(math.isfinite, (trace_total, closed, sample_mean, stderr, cov))):
         raise ValueError("trace totals are too large for a float")
     z = (trace_total - closed) / stderr if stderr > 0.0 else 0.0

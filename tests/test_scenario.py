@@ -180,6 +180,10 @@ class TestWindBeta:
         with pytest.raises(ScenarioError):
             wind_beta(0.0, 0.0, 0.0)
 
+    def test_nan_ideal_blames_ideal(self):
+        with pytest.raises(ScenarioError, match="^ideal_load_factor must be in"):
+            wind_beta(math.nan, 0.3, 0.1)
+
     @given(
         ideal=st.floats(0.01, 1.0),
         actual_share=st.floats(0.0, 1.0),

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glshift import TraceSpec, Uniform, compare_with_means
-from glshift.trace import MAX_TRACE_STEPS, closed_form_total
+from glshift.trace import BLOCK_STEPS, MAX_TRACE_STEPS, closed_form_total
 
 DEFAULT_LOAD = Uniform(0.6, 1.0)
 DEFAULT_CI = Uniform(300.0, 500.0)
@@ -22,6 +25,122 @@ def spec(steps: int = 100_000, seed: int = 42, correlated: bool = False) -> Trac
         ci_dist=DEFAULT_CI,
         correlated=correlated,
     )
+
+
+# ------------------------------------------------------------ references
+# The whole-array draw and statistics that the block engine replaced, kept
+# as references: the blocks must reproduce the draw bit for bit, and the
+# streamed statistics the whole-array formulas within rounding.
+
+
+def reference_draw(spec: TraceSpec) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(spec.seed)
+    loads = rng.uniform(spec.load_dist.low, spec.load_dist.high, spec.steps)
+    cis = rng.uniform(spec.ci_dist.low, spec.ci_dist.high, spec.steps)
+    if spec.correlated:
+        lo, hi = spec.ci_dist.low, spec.ci_dist.high
+        span = hi - lo
+        unit = (cis - lo) / span if span > 0.0 else np.zeros_like(cis)
+        loads = spec.load_dist.low + unit * (spec.load_dist.high - spec.load_dist.low)
+    return loads, cis
+
+
+def reference_comparison(spec: TraceSpec, gamma: float, embodied: float) -> dict[str, float]:
+    loads, cis = reference_draw(spec)
+    rates = closed_form_total(loads, cis, gamma, embodied)
+    trace_total = float(np.mean(rates))
+    closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
+    stderr = float(np.std(rates, ddof=1)) / math.sqrt(spec.steps) if spec.steps > 1 else 0.0
+    return {
+        "trace_total": trace_total,
+        "closed_form_total": closed,
+        "sample_mean_total": closed_form_total(
+            float(np.mean(loads)), float(np.mean(cis)), gamma, embodied
+        ),
+        "z_score": (trace_total - closed) / stderr if stderr > 0.0 else 0.0,
+        "sample_covariance": float(np.mean(loads * cis) - np.mean(loads) * np.mean(cis)),
+    }
+
+
+BLOCK_EDGES = [1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS + 3]
+
+
+class TestBlocks:
+    """The block generator reproduces the whole-array draw bit for bit."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1))
+    @pytest.mark.parametrize("steps", BLOCK_EDGES)
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize(
+        "load_dist,ci_dist",
+        [
+            (DEFAULT_LOAD, DEFAULT_CI),
+            (Uniform(0.7, 0.7), DEFAULT_CI),
+            (DEFAULT_LOAD, Uniform(400.0, 400.0)),
+        ],
+        ids=["wide", "zero_width_load", "zero_width_rate"],
+    )
+    def test_blocks_match_whole_array_draw(self, seed, steps, correlated, load_dist, ci_dist):
+        trace = TraceSpec(steps, seed, load_dist, ci_dist, correlated)
+        blocks = list(trace.blocks())
+        assert [len(loads) for loads, _ in blocks] == [
+            min(BLOCK_STEPS, steps - start) for start in range(0, steps, BLOCK_STEPS)
+        ]
+        expected_loads, expected_cis = reference_draw(trace)
+        loads = np.concatenate([block[0] for block in blocks])
+        cis = np.concatenate([block[1] for block in blocks])
+        assert loads.tobytes() == expected_loads.tobytes()
+        assert cis.tobytes() == expected_cis.tobytes()
+
+
+class TestStreamedStatistics:
+    """compare_with_means against the whole-array formulas it replaced."""
+
+    @pytest.mark.parametrize("steps", [2, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_matches_whole_array_formulas(self, steps, seed, correlated):
+        trace = spec(steps=steps, seed=seed, correlated=correlated)
+        result = compare_with_means(trace, 0.3, 444.0)
+        expected = reference_comparison(trace, 0.3, 444.0)
+        assert result.closed_form_total == expected["closed_form_total"]
+        for field in ("trace_total", "sample_mean_total"):
+            assert getattr(result, field) == pytest.approx(expected[field], rel=1e-12, abs=0.0)
+        for field in ("z_score", "sample_covariance"):
+            assert getattr(result, field) == pytest.approx(expected[field], rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("steps", [3, 1000, BLOCK_STEPS + 1, 200_003])
+    @pytest.mark.parametrize(
+        "load,rate", [(0.8, 350.0), (0.3, 0.1), (1.0, 7.77), (0.123, 123.456), (0.5, 1e200)]
+    )
+    def test_constant_trace_has_no_spread(self, steps, load, rate):
+        """The rounding of the total is no evidence against the closed form."""
+        constant = TraceSpec(steps, 1, Uniform(load, load), Uniform(rate, rate))
+        result = compare_with_means(constant, 0.3, 444.0)
+        assert result.z_score == 0.0
+        assert result.trace_total == pytest.approx(result.closed_form_total, rel=1e-12)
+
+    def test_overflow_over_several_blocks_is_one_error(self):
+        huge = TraceSpec(3 * BLOCK_STEPS + 1, 1, DEFAULT_LOAD, Uniform(0.0, 1e300))
+        with pytest.raises(ValueError) as info:
+            compare_with_means(huge, 0.3, 444.0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "trace totals are too large for a float"
+
+    def test_memory_bounded_by_one_block(self):
+        def peak(steps: int) -> int:
+            tracemalloc.start()
+            try:
+                compare_with_means(spec(steps=steps), 0.3, 444.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1_000)  # lazy imports and numpy's first allocations
+        short, long = peak(200_000), peak(4_000_000)
+        assert long <= 2 * short
+        assert long < 16 * 2**20
 
 
 class TestDistributions:
@@ -39,7 +158,7 @@ class TestEvaluateTrace:
 
     def test_single_step(self):
         single = spec(steps=1)
-        loads, cis = single.draw()
+        loads, cis = next(single.blocks())
         expected = closed_form_total(float(loads[0]), float(cis[0]), 0.3, 444.0)
         total = compare_with_means(single, 0.3, 444.0).trace_total
         assert total == pytest.approx(expected, rel=1e-12)

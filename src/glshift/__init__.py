@@ -16,7 +16,6 @@ from .scenario import (
     ScenarioError,
     fossil_ci_backout,
     load_scenario,
-    mean_fossil_ci,
     nodes_from_power_budget,
     solar_beta,
     wind_beta,
@@ -53,7 +52,6 @@ __all__ = [
     "ideal_reduction",
     "kink_location",
     "load_scenario",
-    "mean_fossil_ci",
     "nodes_from_power_budget",
     "op_full_per_node",
     "run_sweep",

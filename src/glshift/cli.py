@@ -109,6 +109,8 @@ def _evaluate_csv(config: ScenarioConfig, report: EmissionsReport, full_precisio
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.precision == "full" and not args.csv:
+        raise ValueError("--precision full needs --csv")
     config = _read_scenario(args.scenario)
     report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
     if args.csv:

@@ -100,16 +100,6 @@ def fossil_ci_backout(profile: RegionProfile) -> float:
     return fossil
 
 
-def mean_fossil_ci(profiles: list[RegionProfile]) -> float:
-    """Arithmetic mean of the backed-out fossil CI over several regions."""
-    if not profiles:
-        raise ScenarioError("mean_fossil_ci needs at least one region")
-    mean = sum(fossil_ci_backout(p) for p in profiles) / len(profiles)
-    if not mean < math.inf:
-        raise ScenarioError("mean fossil CI too large for a float")
-    return mean
-
-
 def solar_beta(
     profiles: list[RegionProfile],
     always_low_count: int = 0,
@@ -337,13 +327,16 @@ def load_scenario(text: str) -> ScenarioConfig:
                 + ", ".join(sorted(missing))
             )
 
+    name, lineno = sections["scenario"]["name"]
+    if "," in name or '"' in name:  # the name is a field of the CSV row
+        raise ScenarioError("name must not contain ',' or '\"'", lineno)
     common, shift = sections["common"], sections["shift"]
     embodied = _number(common, "embodied_kg_per_node_year")
     hi = _site_class("hi", sections["hi"], common, embodied)
     lo = _site_class("lo", sections["lo"], common, embodied)
     try:
         return ScenarioConfig(
-            name=sections["scenario"]["name"][0],
+            name=name,
             hi=hi,
             lo=lo,
             gamma=_number(common, "gamma"),

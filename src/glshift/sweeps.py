@@ -24,6 +24,7 @@ if TYPE_CHECKING:
 VARIANTS = ("full", "zero_idle", "zero_embodied", "no_time_constraints")
 SWEEP_PARAMETERS = ("load_both", "load_hi")
 MAX_GRID_POINTS = 1_000_001  # a 1e-6 step over [0,1]
+KINK_TOL = 1e-9  # second differences at or below this are no kink
 
 # grid points per kernel call: bounds the kernel's temporary arrays
 _BLOCK = 1024
@@ -124,13 +125,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
-def kink_location(rows: list[SweepRow], variant: str, tol: float = 1e-9) -> float | None:
+def kink_location(rows: list[SweepRow], variant: str) -> float | None:
     """Grid load where the curve's slope changes most abruptly.
 
     Uses the discrete second difference of the variant's reduction; the
     result is reported at grid resolution.  Returns None when the series
-    has no kink (all second differences below tol).  The first of equal
-    maxima wins, and a NaN difference never does.
+    has no kink (no second difference above KINK_TOL).  The first of
+    equal maxima wins, and a NaN difference never does.
     """
     if len(rows) < 3:
         raise ValueError("kink detection needs at least 3 rows")
@@ -138,9 +139,9 @@ def kink_location(rows: list[SweepRow], variant: str, tol: float = 1e-9) -> floa
 
     values = np.fromiter((row.reductions[variant] for row in rows), float, len(rows))
     mags = np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])
-    candidates = np.where(mags > tol, mags, -np.inf)
+    candidates = np.where(mags > KINK_TOL, mags, -np.inf)
     best = int(np.argmax(candidates))
-    if not candidates[best] > tol:
+    if not candidates[best] > KINK_TOL:
         return None
     return rows[best + 1].load
 

@@ -137,9 +137,10 @@ def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceC
     import numpy as np
 
     load_sum = ci_sum = rate_sum = product_sum = 0.0
-    # running count, mean and sum of squared deviations of the rates,
-    # merged block by block (Chan et al.)
-    count, rate_mean, rate_m2 = 0, 0.0, 0.0
+    # sums of the rates' deviations from the trace's first rate, and of
+    # their squares: a constant trace gives exactly zero spread
+    shift = None
+    deviation_sum = square_sum = 0.0
     # overflow is reported below as one error, not as numpy warnings or
     # an OverflowError: the running sums are floats that go to inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -150,27 +151,19 @@ def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceC
             rate_sum += float(np.sum(rates))
             # no np.dot: a threaded BLAS stalled cold runs by 10-30 ms
             product_sum += float(np.sum(loads * cis))
-            # deviations from the block's first rate: a constant trace
-            # gives exactly zero spread
-            size, shift = len(rates), float(rates[0])
+            if shift is None:
+                shift = float(rates[0])
             deviations = rates - shift
-            deviation_sum = float(np.sum(deviations))
-            square_sum = float(np.sum(np.square(deviations, out=deviations)))
-            # clamped: rounding must not leave a negative spread for sqrt
-            block_m2 = max(square_sum - deviation_sum * deviation_sum / size, 0.0)
-            delta = shift + deviation_sum / size - rate_mean
-            weight = size / (count + size)
-            rate_mean += weight * delta
-            # count * weight first: it is 0 on the first block, so a huge
-            # first mean cannot give inf * 0
-            rate_m2 += block_m2 + count * weight * delta * delta
-            count += size
+            deviation_sum += float(np.sum(deviations))
+            square_sum += float(np.sum(np.square(deviations, out=deviations)))
     steps = spec.steps
     trace_total = rate_sum / steps
     closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
     load_mean, ci_mean = load_sum / steps, ci_sum / steps
     sample_mean = closed_form_total(load_mean, ci_mean, gamma, embodied)
-    stderr = math.sqrt(rate_m2 / (steps - 1)) / math.sqrt(steps) if steps > 1 else 0.0
+    # clamped: rounding must not leave a negative spread for sqrt
+    m2 = max(square_sum - deviation_sum * deviation_sum / steps, 0.0)
+    stderr = math.sqrt(m2 / (steps - 1)) / math.sqrt(steps) if steps > 1 else 0.0
     cov = product_sum / steps - load_mean * ci_mean
     if not all(map(math.isfinite, (trace_total, closed, sample_mean, stderr, cov))):
         raise ValueError("trace totals are too large for a float")

@@ -32,7 +32,6 @@ PUBLIC_API = [
     "ideal_reduction",
     "kink_location",
     "load_scenario",
-    "mean_fossil_ci",
     "nodes_from_power_budget",
     "op_full_per_node",
     "run_sweep",

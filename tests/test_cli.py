@@ -93,6 +93,16 @@ class TestEvaluate:
         assert baseline_full == pytest.approx(1197.25, rel=1e-12)
         assert rounded != full
 
+    def test_name_with_a_comma_is_validation_error(self, tmp_path, capsys):
+        """It printed a 9-field row under the 8-column header."""
+        text = builtin_scenario_path("table2_s1").read_text(encoding="utf-8")
+        path = tmp_path / "comma.scenario"
+        path.write_text(text.replace("name = table2_s1", "name = s1,extra"), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(path), "--csv")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: line 4: name must not contain ',' or '\"'\n"
+
     def test_nonexistent_path_is_io_error(self, capsys):
         code, _, err = run(capsys, "evaluate", "/no/such/file.scenario")
         assert code == EXIT_IO
@@ -281,6 +291,7 @@ class TestOracle:
         ["oracle", "--embodied", "inf"],
         ["oracle", "--ci-max", "1e300"],
         ["sweep", "table2_s1", "--step", "inf"],
+        ["evaluate", "table2_s1", "--precision", "full"],  # printed the rounded table
         ["growth", "--reduction", "0.5", "--growth", "nan"],
         ["growth", "--reduction", "0.5", "--growth", "inf"],
         ["growth", "--reduction", "0.5", "--growth", "1e-17"],
@@ -313,7 +324,9 @@ ARGVS = st.one_of(
     st.tuples(
         st.just(["evaluate"]),
         SCENARIOS.map(lambda name: [name]),
-        st.sampled_from([[], ["--csv"], ["--csv", "--precision=full"], ["--precision=bad"]]),
+        st.sampled_from(
+            [[], ["--csv"], ["--csv", "--precision=full"], ["--precision=full"], ["--precision=bad"]]
+        ),
     ),
     st.tuples(
         st.just(["sweep"]),

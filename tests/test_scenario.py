@@ -18,7 +18,6 @@ from glshift import (
     blended_emissions,
     fossil_ci_backout,
     load_scenario,
-    mean_fossil_ci,
     nodes_from_power_budget,
     solar_beta,
     wind_beta,
@@ -78,36 +77,13 @@ class TestFossilBackout:
         forward = (hours * profile.renewable_ci + (24.0 - hours) * fossil) / 24.0
         assert forward == pytest.approx(avg, rel=1e-12, abs=1e-12)
 
-
-class TestMeanFossilCi:
-    def test_three_country_average(self):
-        profiles = [
-            RegionProfile("UK", 211.0, 41.0),
-            RegionProfile("US", 369.0, 41.0),
-            RegionProfile("DE", 344.0, 41.0),
-        ]
-        assert mean_fossil_ci(profiles) == pytest.approx(441.5)
-
-    def test_single_profile(self):
-        assert mean_fossil_ci([UK]) == fossil_ci_backout(UK)
-
     def test_wind_variant_twelve_hour_split(self):
         profiles = [
             RegionProfile(n, avg, 11.0, renewable_hours_per_day=12.0)
             for n, avg in (("UK", 211.0), ("US", 369.0), ("DE", 344.0), ("ES", 146.0))
         ]
-        expected = sum((24 * p.average_ci - 12 * 11.0) / 12.0 for p in profiles) / 4
-        assert mean_fossil_ci(profiles) == pytest.approx(expected)
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(ScenarioError):
-            mean_fossil_ci([])
-
-    def test_sum_beyond_float_range_rejected(self):
-        """Two finite back-outs of 1.68e308 summed to inf."""
-        big = RegionProfile("a", 7e306, 0.0, renewable_hours_per_day=23.0)
-        with pytest.raises(ScenarioError, match="^mean fossil CI too large for a float$"):
-            mean_fossil_ci([big, big])
+        for p in profiles:
+            assert fossil_ci_backout(p) == pytest.approx((24 * p.average_ci - 12 * 11.0) / 12.0)
 
 
 class TestSolarBeta:
@@ -355,6 +331,13 @@ class TestLoadScenario:
         bad = VALID_SCENARIO.replace("pue = 1.1\n", "")
         with pytest.raises(ScenarioError, match="pue"):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("name", ["s1,extra", 'say "hi"', ","])
+    def test_name_that_breaks_the_csv_rejected(self, name):
+        bad = VALID_SCENARIO.replace("name = example", f"name = {name}")
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(bad)
+        assert str(info.value) == "line 2: name must not contain ',' or '\"'"
 
     def test_bad_number_reports_line(self):
         bad = VALID_SCENARIO.replace("gamma = 0.3", "gamma = zero")

@@ -77,6 +77,19 @@ class TestFossilBackout:
         forward = (hours * profile.renewable_ci + (24.0 - hours) * fossil) / 24.0
         assert forward == pytest.approx(avg, rel=1e-12, abs=1e-12)
 
+
+class TestMeanFossilCi:
+    """The fossil CI averaged over regions, as the paper's criterion 4 uses it."""
+
+    def test_three_country_average(self):
+        profiles = [
+            RegionProfile("UK", 211.0, 41.0),
+            RegionProfile("US", 369.0, 41.0),
+            RegionProfile("DE", 344.0, 41.0),
+        ]
+        mean = sum(fossil_ci_backout(p) for p in profiles) / len(profiles)
+        assert mean == pytest.approx(441.5)
+
     def test_wind_variant_twelve_hour_split(self):
         profiles = [
             RegionProfile(n, avg, 11.0, renewable_hours_per_day=12.0)

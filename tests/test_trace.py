@@ -97,18 +97,8 @@ class TestBlocks:
 class TestStreamedStatistics:
     """compare_with_means against the whole-array formulas it replaced."""
 
-    @pytest.mark.parametrize("steps", [2, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
-    @pytest.mark.parametrize("seed", [0, 7, 2026])
-    @pytest.mark.parametrize("correlated", [False, True])
-    @pytest.mark.parametrize(
-        # narrow ranges far from zero: the spread is tiny next to the rates,
-        # so the shifted sums must not lose it to cancellation
-        "ci_dist",
-        [DEFAULT_CI, Uniform(1e6, 1e6 + 1.0), Uniform(1e12, 1e12 + 1e3)],
-        ids=["default", "narrow_1e6", "narrow_1e12"],
-    )
-    def test_matches_whole_array_formulas(self, steps, seed, correlated, ci_dist):
-        trace = TraceSpec(steps, seed, DEFAULT_LOAD, ci_dist, correlated)
+    @staticmethod
+    def assert_matches_reference(trace: TraceSpec) -> None:
         result = compare_with_means(trace, 0.3, 444.0)
         expected = reference_comparison(trace, 0.3, 444.0)
         assert result.closed_form_total == expected["closed_form_total"]
@@ -117,10 +107,29 @@ class TestStreamedStatistics:
         assert result.z_score == pytest.approx(expected["z_score"], rel=1e-9, abs=1e-9)
         # both covariances cancel terms of about mean(load) * mean(rate),
         # and round at that scale (1.5e-16 of it at 1e12)
-        rounding = 1e-15 * DEFAULT_LOAD.mean * ci_dist.mean
+        rounding = 1e-15 * trace.load_dist.mean * trace.ci_dist.mean
         assert result.sample_covariance == pytest.approx(
             expected["sample_covariance"], rel=1e-9, abs=max(1e-9, rounding)
         )
+
+    @pytest.mark.parametrize("steps", [2, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_matches_whole_array_formulas(self, steps, seed, correlated):
+        self.assert_matches_reference(spec(steps=steps, seed=seed, correlated=correlated))
+
+    @pytest.mark.parametrize("steps", [2, BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    @pytest.mark.parametrize("correlated", [False, True])
+    @pytest.mark.parametrize(
+        # the spread is tiny next to the rates, so the shifted sums must not
+        # lose it to cancellation
+        "ci_dist",
+        [Uniform(1e6, 1e6 + 1.0), Uniform(1e12, 1e12 + 1e3)],
+        ids=["narrow_1e6", "narrow_1e12"],
+    )
+    def test_narrow_rates_far_from_zero(self, steps, seed, correlated, ci_dist):
+        self.assert_matches_reference(TraceSpec(steps, seed, DEFAULT_LOAD, ci_dist, correlated))
 
     @pytest.mark.parametrize("steps", [3, 1000, BLOCK_STEPS + 1, 200_003])
     @pytest.mark.parametrize(

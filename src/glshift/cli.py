@@ -23,16 +23,10 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_STATISTICAL = 3
 
-CSV_HEADER = "name,alpha_eff,overhead_t,embodied_t,baseline_t,gls_t,blended_t,reduction_pct"
-
 
 def round_half_away(value: float) -> int:
     """Round to the nearest integer, ties away from zero."""
     return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
-
-
-def tonnes(kg: float) -> int:
-    return round_half_away(kg / 1000.0)
 
 
 def builtin_scenario_path(name: str) -> Path | None:
@@ -51,11 +45,47 @@ def _read_scenario(path_arg: str) -> ScenarioConfig:
     return load_scenario(path.read_text(encoding="utf-8"))
 
 
-def build_report_table(
-    config: ScenarioConfig, report: EmissionsReport
-) -> list[tuple[str, str]]:
-    """Rows of the evaluation report: parameters first, then results."""
+def evaluate_results(report: EmissionsReport) -> list[tuple[str, str | None, float]]:
+    """The results of `gls evaluate`, in CSV order, for every output form.
+
+    Each is (CSV column, table label or None if the table omits it, value
+    in the column's unit: tonnes for _t, percent for _pct).
+    """
     return [
+        ("alpha_eff", None, report.alpha_eff),
+        ("overhead_t", "Overhead (tCO2e/y)", report.overhead / 1000.0),
+        ("embodied_t", "Embodied (tCO2e/y)", report.embodied_total / 1000.0),
+        ("baseline_t", "Baseline (tCO2e/y)", report.baseline_total / 1000.0),
+        ("gls_t", None, report.gls_total / 1000.0),
+        ("blended_t", "Geographic load shifting (tCO2e/y)", report.blended_total / 1000.0),
+        ("reduction_pct", "Emission reduction (%)", report.reduction * 100.0),
+    ]
+
+
+def _rounded(column: str, value: float, grouping: str = "") -> str:
+    """A result as the table and the rounded CSV print it."""
+    if column.endswith("_t"):
+        return format(round_half_away(value), grouping)  # whole tonnes
+    return f"{value:.1f}" if column.endswith("_pct") else f"{value:.6f}"
+
+
+def render_table(rows: list[tuple[str, str]]) -> str:
+    width = max(len(label) for label, _ in rows)
+    return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.precision == "full" and not args.csv:
+        raise ValueError("--precision full needs --csv")
+    config = _read_scenario(args.scenario)
+    report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
+    results = evaluate_results(report)
+    if args.csv:
+        values = [repr(v) if args.precision == "full" else _rounded(c, v) for c, _, v in results]
+        header = ",".join(["name"] + [column for column, _, _ in results])
+        sys.stdout.write(header + "\n" + ",".join([config.name] + values) + "\n")
+        return EXIT_OK
+    rows = [
         ("Scenario", config.name),
         ("Nodes per site (hi/lo)", f"{config.hi.nodes_per_site:,} / {config.lo.nodes_per_site:,}"),
         ("Sites, high-CI", f"{config.hi.site_count}"),
@@ -69,54 +99,12 @@ def build_report_table(
         ("Movable fraction alpha", f"{config.policy.alpha:.2f}"),
         ("Time fraction beta", f"{config.policy.beta:.2f}"),
         ("Overhead factor eta", f"{config.policy.eta:.2f}"),
-        ("Overhead (tCO2e/y)", f"{tonnes(report.overhead):,}"),
-        ("Embodied (tCO2e/y)", f"{tonnes(report.embodied_total):,}"),
-        ("Baseline (tCO2e/y)", f"{tonnes(report.baseline_total):,}"),
-        ("Geographic load shifting (tCO2e/y)", f"{tonnes(report.blended_total):,}"),
-        ("Emission reduction (%)", f"{report.reduction * 100.0:.1f}%"),
     ]
-
-
-def render_table(rows: list[tuple[str, str]]) -> str:
-    width = max(len(label) for label, _ in rows)
-    return "\n".join(f"{label:<{width}}  {value}" for label, value in rows)
-
-
-def _evaluate_csv(config: ScenarioConfig, report: EmissionsReport, full_precision: bool) -> str:
-    if full_precision:
-        fields = [
-            config.name,
-            repr(report.alpha_eff),
-            repr(report.overhead / 1000.0),
-            repr(report.embodied_total / 1000.0),
-            repr(report.baseline_total / 1000.0),
-            repr(report.gls_total / 1000.0),
-            repr(report.blended_total / 1000.0),
-            repr(report.reduction * 100.0),
-        ]
-    else:
-        fields = [
-            config.name,
-            f"{report.alpha_eff:.6f}",
-            str(tonnes(report.overhead)),
-            str(tonnes(report.embodied_total)),
-            str(tonnes(report.baseline_total)),
-            str(tonnes(report.gls_total)),
-            str(tonnes(report.blended_total)),
-            f"{report.reduction * 100.0:.1f}",
-        ]
-    return CSV_HEADER + "\n" + ",".join(fields) + "\n"
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    if args.precision == "full" and not args.csv:
-        raise ValueError("--precision full needs --csv")
-    config = _read_scenario(args.scenario)
-    report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)
-    if args.csv:
-        sys.stdout.write(_evaluate_csv(config, report, args.precision == "full"))
-    else:
-        print(render_table(build_report_table(config, report)))
+    for column, label, value in results:
+        if label is not None:
+            percent = "%" if column.endswith("_pct") else ""
+            rows.append((label, _rounded(column, value, ",") + percent))
+    print(render_table(rows))
     return EXIT_OK
 
 

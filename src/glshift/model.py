@@ -8,6 +8,7 @@ at construction, so downstream code never re-checks ranges.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 HOURS_PER_YEAR = 24 * 365  # fixed 8,760 h convention, no leap years
@@ -20,6 +21,27 @@ class ModelError(ValueError):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ModelError(message)
+
+
+def check_gamma(gamma: float) -> None:
+    """The idle fraction's rule, for every entry point that takes one."""
+    _require(0.0 <= gamma <= 1.0, "gamma must be in [0,1]")
+
+
+def totals_fit(
+    site_count: int, nodes_per_site: int, embodied_per_node: float, op_full_per_node: float
+) -> bool:
+    """Whether every annual total of a class stays finite.
+
+    Each report total is at most the sum of this bound over both classes
+    (op_hi, op_lo and the overhead each stay below sites * nodes * op);
+    a quarter of the float range leaves room for rounding.
+    """
+    try:
+        count = float(site_count) * float(nodes_per_site)
+    except OverflowError:  # an int count beyond the float range
+        return False
+    return count * (embodied_per_node + 2.0 * op_full_per_node) <= sys.float_info.max / 4.0
 
 
 @dataclass(frozen=True)
@@ -77,6 +99,12 @@ class SiteClass:
         _require(self.embodied_per_node < math.inf, "embodied_per_node must be finite")
         _require(self.op_full_per_node >= 0.0, "op_full_per_node must be >= 0")
         _require(self.op_full_per_node < math.inf, "op_full_per_node must be finite")
+        _require(
+            totals_fit(
+                self.site_count, self.nodes_per_site, self.embodied_per_node, self.op_full_per_node
+            ),
+            "annual totals too large for a float",
+        )
 
     @property
     def embodied_per_site(self) -> float:
@@ -236,6 +264,7 @@ def blended_emissions(
     The blended total weights the shifting and baseline regimes by the
     fraction of the time shifting is possible (beta).
     """
+    check_gamma(gamma)
     return _emissions(hi, lo, hi.load, lo.load, gamma, policy)
 
 

@@ -10,7 +10,6 @@ directly, or ``ci_g_per_kwh`` + ``node_power_w`` + ``pue`` to derive it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 from .model import (
@@ -18,7 +17,9 @@ from .model import (
     NodePowerModel,
     ShiftPolicy,
     SiteClass,
+    check_gamma,
     op_full_per_node,
+    totals_fit,
 )
 
 
@@ -79,8 +80,7 @@ class ScenarioConfig:
     policy: ShiftPolicy
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ModelError("gamma must be in [0,1]")
+        check_gamma(self.gamma)
 
 
 def fossil_ci_backout(profile: RegionProfile) -> float:
@@ -91,10 +91,6 @@ def fossil_ci_backout(profile: RegionProfile) -> float:
     """
     h = profile.renewable_hours_per_day
     fossil = (24.0 * profile.average_ci - h * profile.renewable_ci) / (24.0 - h)
-    if fossil < 0.0:
-        raise ScenarioError(
-            f"region {profile.name!r}: renewable CI exceeds what the average permits"
-        )
     if not fossil < math.inf:
         raise ScenarioError(f"region {profile.name!r}: fossil CI too large for a float")
     return fossil
@@ -289,10 +285,8 @@ def _site_class(
             op = _number(section, "op_kg_per_node_year")
         else:
             op = op_full_per_node(NodePowerModel(**_numbers(section, _POWER_MODEL)))
-        # each report total is at most the sum of this bound over both classes
-        # (op_hi, op_lo and the overhead each stay below sites * nodes * op);
-        # a quarter of the float range leaves room for rounding
-        if not float(sites) * nodes * (embodied + 2.0 * op) <= sys.float_info.max / 4.0:
+        # checked before load is parsed, so that the error names a key it reads
+        if not totals_fit(sites, nodes, embodied, op):
             # blame the largest of the numbers the bound reads; all parsed above
             read = [(common, "embodied_kg_per_node_year")] + [
                 (section, k) for k in ("sites", "nodes", "op_kg_per_node_year", *_POWER_MODEL)

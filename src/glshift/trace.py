@@ -24,6 +24,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from .model import check_gamma
+
 # numpy is imported inside the functions that make arrays, so that
 # `gls evaluate` and `gls growth` never pay for loading it
 if TYPE_CHECKING:
@@ -130,8 +132,7 @@ class TraceComparison:
 
 def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceComparison:
     """Compare the time-stepped total against closed-form evaluations."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError("gamma must be in [0,1]")
+    check_gamma(gamma)
     if not 0.0 <= embodied < math.inf:
         raise ValueError("embodied must be >= 0 and finite")
     import numpy as np

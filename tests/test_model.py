@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,8 @@ def site(
 HPC_HI = site(1.0, 10831.0)
 HPC_LO = site(0.5, 390.0)
 NO_SHIFT = ShiftPolicy(alpha=0.0, beta=0.0)
+# sites * nodes * (embodied + 2 * op) of one class may reach this
+BOUND = sys.float_info.max / 4.0
 
 
 def unit_site(load: float, sites: int = 1) -> SiteClass:
@@ -109,6 +112,22 @@ class TestSiteClassRanges:
     def test_existing_message_kept(self, field, value):
         with pytest.raises(ModelError, match=f"^{field} must be >= 0$"):
             dataclasses.replace(HPC_HI, **{field: value})
+
+    @pytest.mark.parametrize(
+        "nodes,embodied,op",
+        [(10**300, 1e10, 1e10), (10**400, 1.0, 1.0), (1, 0.0, math.nextafter(BOUND / 2, math.inf))],
+        ids=["inf_totals", "int_beyond_float", "just_above_bound"],
+    )
+    def test_overflowing_totals_rejected(self, nodes, embodied, op):
+        """The first evaluated to an inf baseline and a NaN reduction, the
+        second raised a bare OverflowError."""
+        with pytest.raises(ModelError, match=r"^annual totals too large for a float$"):
+            SiteClass(1, nodes, 1.0, embodied, op)
+
+    def test_totals_at_the_bound_accepted(self):
+        hi = SiteClass(1, 1, 1.0, 0.0, BOUND / 2)
+        report = blended_emissions(hi, hi, 0.3, ShiftPolicy(alpha=1.0, beta=1.0, eta=0.5))
+        assert all(math.isfinite(getattr(report, f.name)) for f in dataclasses.fields(report))
 
 
 class TestOperationalFactor:
@@ -295,6 +314,12 @@ class TestBlendedEmissions:
         report = blended_emissions(HPC_HI, HPC_LO, 0.3, policy)
         assert report.blended_total == report.baseline_total
         assert report.reduction == 0.0
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan, 5.0, -1.0])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        """gamma 5 gave a reduction of -162 %, -1 one of 89 % and NaN a NaN."""
+        with pytest.raises(ModelError, match=r"^gamma must be in \[0,1\]$"):
+            blended_emissions(HPC_HI, HPC_LO, gamma, NO_SHIFT)
 
     def test_zero_baseline_reports_nan(self):
         hi = site(0.0, 0.0, embodied=0.0)

@@ -61,11 +61,20 @@ class TestFossilBackout:
         with pytest.raises(ScenarioError, match="^region 'a': fossil CI too large for a float$"):
             fossil_ci_backout(profile)
 
+    @pytest.mark.parametrize("hours", [0.0, 24.0, -1.0, math.nan])
+    def test_renewable_hours_outside_day_rejected(self, hours):
+        with pytest.raises(ScenarioError) as info:
+            RegionProfile("a", 100.0, 10.0, renewable_hours_per_day=hours)
+        assert str(info.value) == "region 'a': renewable_hours_per_day must be in (0, 24)"
+
     @given(
         avg=st.floats(1.0, 1000.0),
         renewable_share=st.floats(0.0, 1.0),
         hours=st.floats(0.5, 23.5),
     )
+    # all renewable at the longest day: the numerator is 0.5 * avg, never
+    # below zero, so the back-out needs no sign check
+    @example(avg=1000.0, renewable_share=1.0, hours=23.5)
     def test_roundtrip_with_forward_average(self, avg, renewable_share, hours):
         profile = RegionProfile(
             "rt",
@@ -125,6 +134,17 @@ class TestSolarBeta:
         with pytest.raises(ScenarioError):
             solar_beta([UK])
 
+    def test_no_region_rejected(self):
+        with pytest.raises(ScenarioError) as info:
+            solar_beta([])
+        assert str(info.value) == "solar_beta needs at least one region"
+
+    @pytest.mark.parametrize("overlap", [-0.1, 1.5, math.nan])
+    def test_overlap_outside_unit_interval_rejected(self, overlap):
+        with pytest.raises(ScenarioError) as info:
+            solar_beta(self.PROFILES, overlap_factor=overlap)
+        assert str(info.value) == "overlap_factor must be in [0,1]"
+
     def test_negative_always_low_count_rejected(self):
         """-1 with one region divided by zero."""
         with pytest.raises(ScenarioError, match="^always_low_count must be >= 0$"):
@@ -172,6 +192,22 @@ class TestWindBeta:
     def test_nan_ideal_blames_ideal(self):
         with pytest.raises(ScenarioError, match="^ideal_load_factor must be in"):
             wind_beta(math.nan, 0.3, 0.1)
+
+    @pytest.mark.parametrize(
+        "actual,penalty,message",
+        [
+            (0.6, 0.1, "actual_load_factor must be in [0, ideal_load_factor]"),
+            (-0.1, 0.1, "actual_load_factor must be in [0, ideal_load_factor]"),
+            (math.nan, 0.1, "actual_load_factor must be in [0, ideal_load_factor]"),
+            (0.3, 1.5, "correlation_penalty must be in [0,1]"),
+            (0.3, -0.1, "correlation_penalty must be in [0,1]"),
+            (0.3, math.nan, "correlation_penalty must be in [0,1]"),
+        ],
+    )
+    def test_out_of_range_argument_rejected(self, actual, penalty, message):
+        with pytest.raises(ScenarioError) as info:
+            wind_beta(0.5, actual, penalty)
+        assert str(info.value) == message
 
     @given(
         ideal=st.floats(0.01, 1.0),
@@ -331,6 +367,19 @@ class TestLoadScenario:
     def test_unknown_section_rejected(self):
         with pytest.raises(ScenarioError, match=r"unknown section"):
             load_scenario(VALID_SCENARIO + "\n[extra]\nx = 1\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (VALID_SCENARIO + "\n[hi]\n", "line 27: duplicate section [hi]"),
+            ("# header\nname = x\n" + VALID_SCENARIO, "line 2: key before any [section] header"),
+        ],
+        ids=["duplicate_section", "key_before_section"],
+    )
+    def test_misplaced_line_reports_line(self, text, message):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(text)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("key", sorted(POWER_MODEL_KEYS))
     def test_both_op_and_power_model_rejected(self, key):

@@ -311,7 +311,8 @@ class TestArrayKernelGuard:
 
 # `gls evaluate <name> --csv --precision full` and the sha256 of
 # `gls sweep <name> --param <param>`, as written before sweeps were
-# vectorised
+# vectorised; the sha256 of `gls evaluate <name>` and of `--csv`, as
+# written before the table and both CSV forms read one results list
 EVALUATE_FULL = {
     "table1_solar": "table1_solar,0.2,0.0,469725.76,2560300.27792,2334653.617408,"
     "2442964.01445376,4.5829102343247206",
@@ -326,6 +327,15 @@ EVALUATE_FULL = {
     "499.78375000000005,499.78375000000005,6.501736078632378",
     "table2_s5": "table2_s5,0.24999999999999994,0.6478749999999999,88.8,534.538,"
     "499.78375000000005,517.160875,3.2508680393161944",
+}
+EVALUATE_SHA256 = {  # name: (table, rounded CSV)
+    "table1_solar": ("53e2f521e0e8f956", "6a1f2bb6a7daf0f8"),
+    "table1_wind": ("2bf75cc60b35b1f8", "9979cb397f934939"),
+    "table2_s1": ("810d71e2cf8972e1", "b440cde99b09b251"),
+    "table2_s2": ("682b459b344a70fb", "7067d12bb7c4203a"),
+    "table2_s3": ("5abae587335aa4b7", "c0d38230a47e59f7"),
+    "table2_s4": ("748c9b09cf1c5991", "f4166bb276da2903"),
+    "table2_s5": ("ce36ab7d3a750de1", "a4fbd6ce47d9be32"),
 }
 SWEEP_SHA256 = {
     ("table1_solar", "load_both"): "fab23fe6ae21eaba",
@@ -349,6 +359,9 @@ SWEEP_SHA256 = {
 def test_cli_output_byte_identical(name, capsys):
     assert main(["evaluate", name, "--csv", "--precision", "full"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == EVALUATE_FULL[name]
+    for extra, expected in zip(([], ["--csv"]), EVALUATE_SHA256[name]):
+        assert main(["evaluate", name, *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == expected
     for param in ("load_both", "load_hi"):
         assert main(["sweep", name, "--param", param]) == 0
         out = capsys.readouterr().out
@@ -389,6 +402,18 @@ class TestVariantNames:
         with pytest.raises(ValueError) as info:
             SweepSpec(base=read_bundled("table2_s1"), variants=variants)
         assert str(info.value) == f"repeated variants: {repeated}"
+
+
+    def test_unknown_variants_rejected(self):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(base=read_bundled("table2_s1"), variants=("full", "bogus", "other"))
+        assert str(info.value) == "unknown variants: ['bogus', 'other']"
+
+
+def test_unknown_swept_parameter_rejected():
+    with pytest.raises(ValueError) as info:
+        SweepSpec(base=read_bundled("table2_s1"), swept_parameter="load_lo")
+    assert str(info.value) == "swept_parameter must be one of ('load_both', 'load_hi')"
 
 
 class TestKinkLocation:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glshift import TraceSpec, Uniform, compare_with_means
+from glshift import ModelError, TraceSpec, Uniform, compare_with_means
 from glshift.trace import BLOCK_STEPS, MAX_TRACE_STEPS, closed_form_total
 
 DEFAULT_LOAD = Uniform(0.6, 1.0)
@@ -274,3 +274,9 @@ class TestRangeRules:
         with pytest.raises(ValueError, match="rate bounds must satisfy") as info:
             TraceSpec(steps=10, seed=1, load_dist=DEFAULT_LOAD, ci_dist=Uniform(low, high))
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan])
+    def test_gamma_outside_unit_interval_rejected(self, gamma):
+        """The model's own gamma rule, as a ModelError."""
+        with pytest.raises(ModelError, match=r"^gamma must be in \[0,1\]$"):
+            compare_with_means(spec(steps=10), gamma, 444.0)

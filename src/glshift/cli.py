@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .model import EmissionsReport, blended_emissions
@@ -22,6 +23,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_STATISTICAL = 3
+
+_CSV_BLOCK = 4096  # sweep rows per write
 
 
 def round_half_away(value: float) -> int:
@@ -122,15 +125,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(spec)
     # before any output, so that a failing kink check leaves no CSV behind
     kinks = [kink_location(rows, variant) for variant in variants] if args.kink else []
-    lines = ["load," + ",".join(variants)]
-    for row in rows:
-        values = ",".join(f"{row.reductions[v]:.12g}" for v in variants)
-        lines.append(f"{row.load:.6g},{values}")
-    output = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        out.write("load," + ",".join(variants) + "\n")
+        # one joined chunk per block of rows: the whole CSV is never held
+        for first in range(0, len(rows), _CSV_BLOCK):
+            out.write(
+                "".join(
+                    f"{row.load:.6g},"
+                    + ",".join(f"{row.reductions[v]:.12g}" for v in variants)
+                    + "\n"
+                    for row in rows[first : first + _CSV_BLOCK]
+                )
+            )
     for variant, location in zip(variants, kinks):
         label = "none" if location is None else f"{location:.6g}"
         print(f"kink[{variant}] = {label}", file=sys.stderr)

@@ -163,13 +163,16 @@ def op_full_per_node(model: NodePowerModel) -> float:
     is g/kWh, hence the /1000.
     """
     energy = model.active_power * HOURS_PER_YEAR / 1000.0  # kWh per year
-    return (
+    op = (
         energy
         * (1.0 + model.network_overhead_fraction)
         * model.pue
         * model.carbon_intensity
         / 1000.0
     )
+    # an overflowing energy gives inf, or NaN at a zero intensity
+    _require(op < math.inf, "annual totals too large for a float")
+    return op
 
 
 def _where(cond, if_true, if_false):
@@ -181,56 +184,58 @@ def _where(cond, if_true, if_false):
     return if_true if cond else if_false
 
 
-def _op(site: SiteClass, load, gamma):
+def _op(sites, op_full, load, gamma):
     """Annual operational emissions of all sites of one class at a load."""
-    return site.site_count * (load + gamma * (1.0 - load)) * site.op_full_per_site
-
-
-def _capped_alpha(alpha, hi: SiteClass, load_hi, lo: SiteClass, load_lo, where):
-    """min(alpha, free/busy); alpha when the high sites are idle."""
-    busy = hi.site_count * load_hi
-    free = lo.site_count * (1.0 - load_lo)
-    moving = busy != 0.0
-    ratio = free / where(moving, busy, 1.0)
-    # min(alpha, ratio), taking alpha on ties as the builtin min does
-    return where(moving & (ratio < alpha), ratio, alpha)
+    return sites * (load + gamma * (1.0 - load)) * op_full
 
 
 def _emissions(
-    hi: SiteClass,
-    lo: SiteClass,
     load_hi,
     load_lo,
-    gamma: float,
-    policy: ShiftPolicy,
+    sites_hi,
+    embodied_hi,
+    op_full_hi,
+    sites_lo,
+    embodied_lo,
+    op_full_lo,
+    gamma,
+    alpha,
+    beta,
+    eta,
     where=_where,
 ) -> EmissionsReport:
     """The emissions kernel: every term of the model, computed once.
 
-    The site classes give counts and per-node values; the loads are
-    passed apart so that they may be Python floats (with where=_where)
-    or numpy arrays (with where=numpy.where), in which case every
-    report field is an array over the loads.  Elementwise the two give
-    the same IEEE operations in the same order, hence identical bits.
+    Per class it reads the site count and the per-site embodied and
+    full-load operational emissions; then the shift knobs.  Every field
+    may be a Python float (with where=_where) or a numpy array (with
+    where=numpy.where); arrays broadcast against each other, and every
+    report field is then an array.  Elementwise the two give the same
+    IEEE operations in the same order, hence identical bits.
     """
-    embodied_total = (
-        hi.site_count * hi.embodied_per_site + lo.site_count * lo.embodied_per_site
-    )
-    beta = policy.beta
-    alpha_eff = _capped_alpha(policy.alpha, hi, load_hi, lo, load_lo, where)
+    embodied_total = sites_hi * embodied_hi + sites_lo * embodied_lo
+    # alpha_eff = min(alpha, free/busy), taking alpha on ties as the
+    # builtin min does, and alpha when the high sites are idle
+    busy = sites_hi * load_hi
+    free = sites_lo * (1.0 - load_lo)
+    moving = busy != 0.0
+    ratio = free / where(moving, busy, 1.0)
+    alpha_eff = where(moving & (ratio < alpha), ratio, alpha)
     new_hi = load_hi * (1.0 - alpha_eff)
-    new_lo = load_lo + alpha_eff * load_hi * hi.site_count / lo.site_count
+    new_lo = load_lo + alpha_eff * load_hi * sites_hi / sites_lo
     new_lo = where(1.0 < new_lo, 1.0, new_lo)
-    op_hi = _op(hi, new_hi, gamma)
-    op_lo = _op(lo, new_lo, gamma)
+    op_hi = _op(sites_hi, op_full_hi, new_hi, gamma)
+    op_lo = _op(sites_lo, op_full_lo, new_lo, gamma)
     # moving work costs eta per unit moved, on the full-load operational
     # emissions of all sites involved
-    overhead = policy.eta * alpha_eff * (
-        hi.site_count * hi.op_full_per_site + lo.site_count * lo.op_full_per_site
-    )
+    overhead = eta * alpha_eff * (sites_hi * op_full_hi + sites_lo * op_full_lo)
     # the baseline is summed in the same order as the shifted case, so
     # that a no-op shift (alpha_eff = 0) reproduces it bit for bit
-    baseline = embodied_total + _op(hi, load_hi, gamma) + _op(lo, load_lo, gamma)
+    baseline = (
+        embodied_total
+        + _op(sites_hi, op_full_hi, load_hi, gamma)
+        + _op(sites_lo, op_full_lo, load_lo, gamma)
+    )
     gls = embodied_total + op_hi + op_lo + overhead
     # beta*x + (1-beta)*x may round away from x: keep the baseline then
     blended = where(
@@ -265,7 +270,20 @@ def blended_emissions(
     fraction of the time shifting is possible (beta).
     """
     check_gamma(gamma)
-    return _emissions(hi, lo, hi.load, lo.load, gamma, policy)
+    return _emissions(
+        hi.load,
+        lo.load,
+        hi.site_count,
+        hi.embodied_per_site,
+        hi.op_full_per_site,
+        lo.site_count,
+        lo.embodied_per_site,
+        lo.op_full_per_site,
+        gamma,
+        policy.alpha,
+        policy.beta,
+        policy.eta,
+    )
 
 
 def ideal_reduction(c_hi: float, c_lo: float, load: float) -> float:

@@ -284,7 +284,11 @@ def _site_class(
         if direct:
             op = _number(section, "op_kg_per_node_year")
         else:
-            op = op_full_per_node(NodePowerModel(**_numbers(section, _POWER_MODEL)))
+            power = NodePowerModel(**_numbers(section, _POWER_MODEL))
+            try:
+                op = op_full_per_node(power)
+            except ModelError:  # overflows: blamed below with a line number
+                op = math.inf
         # checked before load is parsed, so that the error names a key it reads
         if not totals_fit(sites, nodes, embodied, op):
             # blame the largest of the numbers the bound reads; all parsed above

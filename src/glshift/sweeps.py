@@ -10,10 +10,10 @@ own alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import _emissions, _where
+from .model import _emissions
 from .scenario import ScenarioConfig
 
 # numpy is imported inside the functions that make arrays, so that
@@ -22,6 +22,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 VARIANTS = ("full", "zero_idle", "zero_embodied", "no_time_constraints")
+# variant -> whether it keeps (embodied carbon, idle power, time constraints)
+_KEEPS = {
+    "full": (True, True, True),
+    "zero_idle": (True, False, True),
+    "zero_embodied": (False, True, True),
+    "no_time_constraints": (False, False, False),
+}
 SWEEP_PARAMETERS = ("load_both", "load_hi")
 MAX_GRID_POINTS = 1_000_001  # a 1e-6 step over [0,1]
 KINK_TOL = 1e-9  # second differences at or below this are no kink
@@ -82,44 +89,49 @@ class SweepRow:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate all requested variants across the load grid.
 
-    Each variant is one kernel call per block of grid points.  Where the
-    baseline vanishes (all toggles zero at load 0) the reduction is
+    The kernel fields that the variants toggle (per-site embodied, gamma
+    and beta) are columns with one entry per variant, so that one kernel
+    call per block of grid points evaluates every variant.  Where
+    the baseline vanishes (all toggles zero at load 0) the reduction is
     reported as its right-hand limit, which for equal-load sweeps equals
     the constant value on (0, 0.5].
     """
     import numpy as np
 
     base = spec.base
+    hi, lo = base.hi, base.lo
     fixed_lo = spec.swept_parameter == "load_hi"
-    bare_hi = replace(base.hi, embodied_per_node=0.0)
-    bare_lo = replace(base.lo, embodied_per_node=0.0)
-    shift_all = replace(base.policy, alpha=1.0)  # move the whole movable fraction
-    untimed = replace(shift_all, beta=1.0)
-    # variant -> the site classes, gamma and policy it evaluates
-    inputs = {
-        "full": (base.hi, base.lo, base.gamma, shift_all),
-        "zero_idle": (base.hi, base.lo, 0.0, shift_all),
-        "zero_embodied": (bare_hi, bare_lo, base.gamma, shift_all),
-        "no_time_constraints": (bare_hi, bare_lo, 0.0, untimed),
-    }
-
-    def reduction(variant, load, where):
-        hi, lo, gamma, policy = inputs[variant]
-        load_lo = lo.load if fixed_lo else load
-        return _emissions(hi, lo, load, load_lo, gamma, policy, where).reduction
-
+    # (variants, 1) columns, broadcast against each block's points
+    keeps = np.array([_KEEPS[v] for v in spec.variants], dtype=bool)
+    embodied, idle, timed = keeps.reshape(len(spec.variants), 3).T[:, :, None]
+    fields = (
+        hi.site_count,
+        np.where(embodied, hi.embodied_per_site, 0.0),
+        hi.op_full_per_site,
+        lo.site_count,
+        np.where(embodied, lo.embodied_per_site, 0.0),
+        lo.op_full_per_site,
+        np.where(idle, base.gamma, 0.0),
+        1.0,  # move the whole movable fraction
+        np.where(timed, base.policy.beta, 1.0),
+        base.policy.eta,
+        np.where,
+    )
     grid = spec.grid()
     rows: list[SweepRow] = []
     # overflow gives inf, as with Python floats, without a warning
     with np.errstate(all="ignore"):
         for first in range(0, len(grid), _BLOCK):
             loads = grid[first : first + _BLOCK]
-            block = [SweepRow(load=load, reductions={}) for load in loads.tolist()]
-            for variant in spec.variants:
-                values = reduction(variant, loads, np.where).tolist()
-                if first == 0 and loads[0] == 0.0 and math.isnan(values[0]):
-                    values[0] = reduction(variant, 1e-9, _where)
-                for row, value in zip(block, values):
+            values = _emissions(loads, lo.load if fixed_lo else loads, *fields).reduction
+            if first == 0 and loads[0] == 0.0 and np.isnan(values[:, 0]).any():
+                eps = 1e-9
+                retry = _emissions(eps, lo.load if fixed_lo else eps, *fields).reduction
+                values[:, 0] = np.where(np.isnan(values[:, 0]), retry[:, 0], values[:, 0])
+            # filled a column at a time: a dict(zip(...)) per row is slower
+            block = [SweepRow(load, {}) for load in loads.tolist()]
+            for variant, column in zip(spec.variants, values.tolist()):
+                for row, value in zip(block, column):
                     row.reductions[variant] = value
             rows.extend(block)
     return rows

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -156,6 +157,18 @@ class TestEvaluate:
         assert out == ""
         assert err == "error: line 8: key 'nodes': annual totals too large for a float\n"
 
+    @pytest.mark.parametrize("ci", ["0", "1"])
+    def test_overflowing_power_model_blames_its_line(self, tmp_path, capsys, ci):
+        """op_full_per_node raises on overflow; the file still names the key."""
+        text = builtin_scenario_path("table1_solar").read_text(encoding="utf-8")
+        power = f"ci_g_per_kwh = {ci}\nnode_power_w = 1e308\npue = 1"
+        path = tmp_path / "huge.scenario"
+        path.write_text(text.replace("op_kg_per_node_year = 18978", power, 1), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", str(path))
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: line 12: key 'node_power_w': annual totals too large for a float\n"
+
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "evaluate", "table1_solar", "--csv")
         _, second, _ = run(capsys, "evaluate", "table1_solar", "--csv")
@@ -187,6 +200,19 @@ class TestSweep:
         run(capsys, "sweep", "table2_s1", "--param", "load_hi", "--out", str(out_a))
         run(capsys, "sweep", "table2_s1", "--param", "load_hi", "--out", str(out_b))
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_csv_written_in_blocks_is_unchanged(self, capsys, tmp_path):
+        """10,001 rows span several write blocks; the sha256 is the output
+        of the single-string write that the blocks replaced."""
+        expected = "88d39616362d146a1dc95e75fa7314d78d13185b4c5eddc828dd69525546056c"
+        assert 10_001 > 2 * glshift.cli._CSV_BLOCK
+        code, out, err = run(capsys, "sweep", "table2_s1", "--step", "1e-4")
+        assert (code, err) == (EXIT_OK, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == expected
+        path = tmp_path / "sweep.csv"
+        code, out, err = run(capsys, "sweep", "table2_s1", "--step", "1e-4", "--out", str(path))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected
 
     def test_invalid_range(self, capsys):
         code, _, err = run(capsys, "sweep", "table2_s1", "--from", "0.9", "--to", "0.1")

@@ -99,6 +99,16 @@ class TestOpFullPerNode:
         with pytest.raises(ModelError, match=f"^{field} must be finite$"):
             NodePowerModel(**{**values, field: math.inf})
 
+    @pytest.mark.parametrize("ci", [0.0, 1.0])
+    def test_overflowing_result_rejected(self, ci):
+        """A finite model whose energy overflows gave NaN (inf * 0 CI) or inf."""
+        with pytest.raises(ModelError, match=r"^annual totals too large for a float$"):
+            op_full_per_node(NodePowerModel(1e308, 1.0, ci))
+
+    def test_largest_finite_result_accepted(self):
+        op = op_full_per_node(NodePowerModel(1e300, 1.0, 1000.0))
+        assert op == pytest.approx(8.76e300)
+
 
 class TestSiteClassRanges:
     @pytest.mark.parametrize("field", ["embodied_per_node", "op_full_per_node"])

@@ -27,6 +27,7 @@ from glshift import (
     run_sweep,
     years_compensated,
 )
+import glshift.sweeps
 from glshift.cli import main
 from glshift.model import _emissions
 from glshift.sweeps import KINK_TOL, MAX_GRID_POINTS, VARIANTS
@@ -91,6 +92,15 @@ def variant_inputs(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPoli
     if variant == "no_time_constraints":
         policy = replace(policy, beta=1.0)
     return hi, lo, gamma, policy
+
+
+def kernel_fields(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> tuple:
+    """The kernel's fields after the two loads, as blended_emissions passes them."""
+    return (
+        hi.site_count, hi.embodied_per_site, hi.op_full_per_site,
+        lo.site_count, lo.embodied_per_site, lo.op_full_per_site,
+        gamma, policy.alpha, policy.beta, policy.eta,
+    )
 
 
 def reference_reduction(
@@ -165,6 +175,46 @@ configs = st.builds(
 # the unclamped load is 1.0000000000000002)
 SATURATING = scenario(site(5, 0.8, 444.0, 18_978.0), site(2, 0.1, 444.0, 1896.0), 0.3, 0.52, 0.0)
 ALL_ZERO = scenario(site(1, 0.5, 0.0, 1000.0), site(1, 0.5, 0.0, 0.0), 0.0, 0.5, 0.0)
+# as ALL_ZERO but with idle power: at load 0 only the variants that drop
+# idle power have a zero baseline
+PARTLY_ZERO = replace(ALL_ZERO, gamma=0.3)
+# the inputs of one evaluation that the array test may give per point;
+# per-node values, which the site classes turn into the kernel's per-site
+# fields
+PER_POINT = (
+    "load_hi", "load_lo", "embodied_hi", "embodied_lo", "op_full_hi", "op_full_lo",
+    "gamma", "alpha", "beta", "eta",
+)
+# the kernel's arguments, named as in PER_POINT where they match
+KERNEL_ARGS = (
+    "load_hi", "load_lo", "sites_hi", "embodied_hi", "op_full_hi",
+    "sites_lo", "embodied_lo", "op_full_lo", "gamma", "alpha", "beta", "eta",
+)
+
+
+def point_inputs(config: ScenarioConfig, point: tuple, arrayed: set[str]):
+    """(hi, lo, gamma, policy) of one point: its own value for each
+    arrayed input, the config's for the others."""
+    own = dict(zip(PER_POINT, point))
+
+    def pick(name: str, default: float) -> float:
+        return own[name] if name in arrayed else default
+
+    hi, lo, policy = config.hi, config.lo, config.policy
+    return (
+        replace(
+            hi, load=pick("load_hi", hi.load),
+            embodied_per_node=pick("embodied_hi", hi.embodied_per_node),
+            op_full_per_node=pick("op_full_hi", hi.op_full_per_node),
+        ),
+        replace(
+            lo, load=pick("load_lo", lo.load),
+            embodied_per_node=pick("embodied_lo", lo.embodied_per_node),
+            op_full_per_node=pick("op_full_lo", lo.op_full_per_node),
+        ),
+        pick("gamma", config.gamma),
+        ShiftPolicy(pick("alpha", policy.alpha), pick("beta", policy.beta), pick("eta", policy.eta)),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +321,9 @@ class TestArrayKernelGuard:
                 config.hi, config.lo, config.gamma, replace(config.policy, alpha=alpha), variant
             )
             with np.errstate(all="ignore"):  # Python floats overflow silently too
-                array = _emissions(hi, lo, load_hi, load_lo, gamma, policy, where=np.where)
+                array = _emissions(
+                    load_hi, load_lo, *kernel_fields(hi, lo, gamma, policy), where=np.where
+                )
             points = [(replace(hi, load=a), replace(lo, load=b)) for a, b in loads]
             scalar = [blended_emissions(h, l, gamma, policy) for h, l in points]
             reference = [reference_blended(h, l, gamma, policy) for h, l in points]
@@ -282,6 +334,87 @@ class TestArrayKernelGuard:
                 assert bits([getattr(r, field.name) for r in scalar]) == expected, (
                     variant, field.name,
                 )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=configs,
+        points=st.lists(
+            st.tuples(
+                unit, unit, per_node, per_node, per_node, per_node, unit, unit, unit,
+                st.floats(0.0, 0.99) | st.just(0.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        arrayed=st.sets(st.sampled_from(PER_POINT)),
+    )
+    @example(  # only the point without idle power has a zero baseline
+        config=PARTLY_ZERO,
+        points=[(0.0, 0.0, 0.0, 0.0, 1000.0, 0.0, g, 1.0, 0.5, 0.0) for g in (0.3, 0.0)],
+        arrayed={"load_hi", "load_lo", "gamma"},
+    )
+    @example(
+        config=SATURATING,
+        points=[
+            (0.5, 0.1, 444.0, 0.0, 18_978.0, 1896.0, 0.3, 1.0, 0.52, 0.0),
+            (0.72, 0.1, 0.0, 444.0, 1896.0, 18_978.0, 0.0, 0.6, 1.0, 0.05),
+            (0.0, 1.0, 444.0, 444.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.5),
+        ],
+        arrayed=set(PER_POINT),
+    )
+    def test_kernel_array_fields_match_per_point(self, config, points, arrayed):
+        """Any kernel field as an array, the rest scalars: each element is
+        the per-point blended_emissions, bit for bit."""
+        inputs = [point_inputs(config, point, arrayed) for point in points]
+        columns = zip(
+            *[(hi.load, lo.load, *kernel_fields(hi, lo, g, p)) for hi, lo, g, p in inputs]
+        )
+        fields = [
+            np.array(column) if name in arrayed else column[0]
+            for name, column in zip(KERNEL_ARGS, columns)
+        ]
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            array = _emissions(*fields, where=np.where)
+        scalar = [blended_emissions(*args) for args in inputs]
+        for field in dataclasses.fields(EmissionsReport):
+            got = np.broadcast_to(getattr(array, field.name), (len(points),))
+            expected = bits([getattr(report, field.name) for report in scalar])
+            assert bits(got.tolist()) == expected, field.name
+
+    @pytest.mark.parametrize(
+        "config,param,nans",
+        [
+            (PARTLY_ZERO, "load_both", 2),
+            (PARTLY_ZERO, "load_hi", 2),
+            (SATURATING, "load_both", 1),
+            (SATURATING, "load_hi", 0),
+        ],
+    )
+    def test_one_kernel_call_per_block_for_all_variants(self, monkeypatch, config, param, nans):
+        """3 blocks of grid points, plus one retry call where some variants
+        are NaN at load 0; the retry fills only those."""
+        spec = SweepSpec(base=config, swept_parameter=param, step=0.0004)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return _emissions(*args, **kwargs)
+
+        monkeypatch.setattr(glshift.sweeps, "_emissions", counting)
+        rows = run_sweep(spec)
+        assert len(calls) == 3 + (nans > 0)
+        assert sweep_bits(rows, VARIANTS) == sweep_bits(reference_sweep(spec), VARIANTS)
+        lo = config.lo if param == "load_hi" else replace(config.lo, load=0.0)
+        policy = replace(config.policy, alpha=1.0)
+        at_zero = [
+            reference_reduction(replace(config.hi, load=0.0), lo, config.gamma, policy, v)
+            for v in VARIANTS
+        ]
+        assert sum(map(math.isnan, at_zero)) == nans
+
+    def test_no_variants(self):
+        rows = run_sweep(SweepSpec(base=SATURATING, step=0.5, variants=()))
+        assert [(row.load, row.reductions) for row in rows] == [(0.0, {}), (0.5, {}), (1.0, {})]
 
     def test_examples_reach_every_branch(self):
         hi, lo = SATURATING.hi, SATURATING.lo

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import glshift.sweeps
 from glshift import (
     EmissionsReport,
     ScenarioConfig,
@@ -27,7 +28,6 @@ from glshift import (
     run_sweep,
     years_compensated,
 )
-import glshift.sweeps
 from glshift.cli import main
 from glshift.model import _emissions
 from glshift.sweeps import KINK_TOL, MAX_GRID_POINTS, VARIANTS

@@ -194,8 +194,12 @@ _REQUIRED = {
 _KEY_BY_FIELD = {field: key for keys in _SECTIONS.values() for key, field in keys.items()}
 
 
-def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
+def _parse_sections(
+    text: str,
+) -> tuple[dict[str, dict[str, tuple[str, int]]], dict[str, int]]:
+    """Section -> {key: (value, line)}, and section -> its header's line."""
     sections: dict[str, dict[str, tuple[str, int]]] = {}
+    headers: dict[str, int] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -208,6 +212,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             if name in sections:
                 raise ScenarioError(f"duplicate section [{name}]", lineno)
             sections[name] = {}
+            headers[name] = lineno
             current = name
             continue
         if "=" not in line:
@@ -220,7 +225,7 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         if key in sections[current]:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         sections[current][key] = (value, lineno)
-    return sections
+    return sections, headers
 
 
 def _number(section: dict[str, tuple[str, int]], key: str) -> float:
@@ -264,20 +269,23 @@ def _numbers(section: dict[str, tuple[str, int]], keys: dict[str, str]) -> dict[
 def _site_class(
     name: str,
     section: dict[str, tuple[str, int]],
+    header: int,
     common: dict[str, tuple[str, int]],
     embodied: float,
 ) -> SiteClass:
     direct = "op_kg_per_node_year" in section
     if direct and _POWER_MODEL.keys() & section.keys():
         raise ScenarioError(
-            f"section [{name}]: give op_kg_per_node_year or a power model, not both"
+            f"section [{name}]: give op_kg_per_node_year or a power model, not both",
+            header,
         )
     if not direct:
         missing = _POWER_MODEL.keys() - _OPTIONAL - section.keys()
         if missing:
             raise ScenarioError(
                 f"section [{name}]: missing {', '.join(sorted(missing))} "
-                "(or give op_kg_per_node_year)"
+                "(or give op_kg_per_node_year)",
+                header,
             )
     sites, nodes = _integer(section, "sites"), _integer(section, "nodes")
     try:
@@ -310,7 +318,7 @@ def _site_class(
 
 def load_scenario(text: str) -> ScenarioConfig:
     """Parse scenario file contents into a validated ScenarioConfig."""
-    sections = _parse_sections(text)
+    sections, headers = _parse_sections(text)
     missing_sections = _REQUIRED.keys() - sections.keys()
     if missing_sections:
         raise ScenarioError(
@@ -321,8 +329,8 @@ def load_scenario(text: str) -> ScenarioConfig:
         missing = keys - sections[section_name].keys()
         if missing:
             raise ScenarioError(
-                f"section [{section_name}]: missing key "
-                + ", ".join(sorted(missing))
+                f"section [{section_name}]: missing key " + ", ".join(sorted(missing)),
+                headers[section_name],
             )
 
     name, lineno = sections["scenario"]["name"]
@@ -330,8 +338,8 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise ScenarioError("name must not contain ',' or '\"'", lineno)
     common, shift = sections["common"], sections["shift"]
     embodied = _number(common, "embodied_kg_per_node_year")
-    hi = _site_class("hi", sections["hi"], common, embodied)
-    lo = _site_class("lo", sections["lo"], common, embodied)
+    hi = _site_class("hi", sections["hi"], headers["hi"], common, embodied)
+    lo = _site_class("lo", sections["lo"], headers["lo"], common, embodied)
     try:
         return ScenarioConfig(
             name=name,

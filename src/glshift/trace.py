@@ -1,11 +1,11 @@
 """Time-stepped validation of the closed-form averaging argument.
 
-The per-site operational emissions are affine in load and carbon
-intensity: rate = (1-gamma)*load*ci + gamma*ci (+ constant embodied
-term).  When load and CI traces are independent, the year total equals
-the closed form evaluated at the trace means.  This module generates
-seeded traces, integrates them step by step and compares against that
-closed form, including a deliberately correlated negative control.
+A step's total is the model's operational term for one site, model._op,
+at the step's load and full-load emission rate, plus a constant embodied
+term.  It is affine in each of the two, so with independent load and
+rate traces the year total equals that term at the trace means.  This
+module draws seeded traces, integrates them step by step and compares
+with that closed form, including a deliberately correlated control.
 
 Trace generation uses numpy's default_rng (PCG64) seeded with a 64-bit
 integer, so identical specs give bit-identical totals.  The traces are
@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .model import check_gamma
+from .model import _op, check_gamma
 
 # numpy is imported inside the functions that make arrays, so that
 # `gls evaluate` and `gls growth` never pay for loading it
@@ -76,7 +76,10 @@ class TraceSpec:
             raise ValueError(f"steps must be <= {MAX_TRACE_STEPS:,}")
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The load and rate traces, BLOCK_STEPS steps at a time."""
+        """The load and rate traces, BLOCK_STEPS steps at a time.
+
+        Every block's arrays are fresh: callers may overwrite them.
+        """
         import numpy as np
 
         load_rng = np.random.default_rng(self.seed)
@@ -96,27 +99,19 @@ class TraceSpec:
             yield loads, cis
 
 
-def closed_form_total(load_mean, ci_mean, gamma: float, embodied: float):
-    """Annual total from the affine model at mean load and mean rate.
-
-    Elementwise over numpy arrays of loads and rates, it is the per-step
-    rate of a trace.
-    """
-    a, b = 1.0 - gamma, gamma
-    return a * load_mean * ci_mean + b * ci_mean + embodied
-
-
 @dataclass(frozen=True)
 class TraceComparison:
     """Trace total versus the closed form, with the covariance breakdown.
 
     trace_total is the time-integrated annual total, kg/y: each step
     carries an equal share of the year, and the embodied term is
-    constant in time.  sample_mean_total plugs the realised sample means
-    into the closed form; its gap to trace_total is exactly (1-gamma)
-    times the sample covariance of load and rate.  z_score measures the
-    gap between the trace total and the closed form at the distribution
-    means, in units of the trace total's standard error.
+    constant in time.  closed_form_total and sample_mean_total are the
+    step total at the distribution means and at the realised sample
+    means; the latter's gap to trace_total is exactly (1-gamma) times
+    the sample covariance of load and rate.  z_score measures the gap
+    between the trace total and the closed form at the distribution
+    means, in units of the trace total's standard error.  A constant
+    trace gives exactly the closed form, zero covariance and no spread.
     """
 
     trace_total: float
@@ -137,35 +132,38 @@ def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceC
         raise ValueError("embodied must be >= 0 and finite")
     import numpy as np
 
-    load_sum = ci_sum = rate_sum = product_sum = 0.0
-    # sums of the rates' deviations from the trace's first rate, and of
-    # their squares: a constant trace gives exactly zero spread
-    shift = None
-    deviation_sum = square_sum = 0.0
+    def total(load, rate):
+        return _op(1.0, rate, load, gamma) + embodied
+
+    # every running sum is of deviations from the trace's first step: of
+    # the loads, the rates, their product, the totals and squared totals
+    load0 = None
+    load_sum = ci_sum = product_sum = deviation_sum = square_sum = 0.0
     # overflow is reported below as one error, not as numpy warnings or
     # an OverflowError: the running sums are floats that go to inf
     with np.errstate(over="ignore", invalid="ignore"):
         for loads, cis in spec.blocks():
-            rates = closed_form_total(loads, cis, gamma, embodied)
+            totals = total(loads, cis)  # before the loads and rates are shifted
+            if load0 is None:
+                load0, ci0, total0 = float(loads[0]), float(cis[0]), float(totals[0])
+            loads -= load0
+            cis -= ci0
+            totals -= total0
             load_sum += float(np.sum(loads))
             ci_sum += float(np.sum(cis))
-            rate_sum += float(np.sum(rates))
             # no np.dot: a threaded BLAS stalled cold runs by 10-30 ms
-            product_sum += float(np.sum(loads * cis))
-            if shift is None:
-                shift = float(rates[0])
-            deviations = rates - shift
-            deviation_sum += float(np.sum(deviations))
-            square_sum += float(np.sum(np.square(deviations, out=deviations)))
+            product_sum += float(np.sum(np.multiply(loads, cis, out=loads)))
+            deviation_sum += float(np.sum(totals))
+            square_sum += float(np.sum(np.square(totals, out=totals)))
     steps = spec.steps
-    trace_total = rate_sum / steps
-    closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
-    load_mean, ci_mean = load_sum / steps, ci_sum / steps
-    sample_mean = closed_form_total(load_mean, ci_mean, gamma, embodied)
+    load_delta, ci_delta = load_sum / steps, ci_sum / steps
+    trace_total = total0 + deviation_sum / steps
+    closed = total(spec.load_dist.mean, spec.ci_dist.mean)
+    sample_mean = total(load0 + load_delta, ci0 + ci_delta)
     # clamped: rounding must not leave a negative spread for sqrt
     m2 = max(square_sum - deviation_sum * deviation_sum / steps, 0.0)
     stderr = math.sqrt(m2 / (steps - 1)) / math.sqrt(steps) if steps > 1 else 0.0
-    cov = product_sum / steps - load_mean * ci_mean
+    cov = product_sum / steps - load_delta * ci_delta
     if not all(map(math.isfinite, (trace_total, closed, sample_mean, stderr, cov))):
         raise ValueError("trace totals are too large for a float")
     z = (trace_total - closed) / stderr if stderr > 0.0 else 0.0

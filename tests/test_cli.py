@@ -297,6 +297,13 @@ class TestOracle:
         assert out == ""
         assert err == "error: rate bounds must satisfy 0 <= min <= max < inf\n"
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_empty_trace_rejected(self, capsys, steps):
+        code, out, err = run(capsys, "oracle", "--steps", steps)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: steps must be >= 1\n"
+
     @pytest.mark.parametrize("steps", ["31536001", "1000000000000000"])
     def test_too_many_steps_rejected_before_any_allocation(self, capsys, steps):
         code, out, err = run(capsys, "oracle", "--steps", steps)

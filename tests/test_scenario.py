@@ -381,6 +381,57 @@ class TestLoadScenario:
             load_scenario(text)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                VALID_SCENARIO.replace("name = example\n", ""),
+                "line 1: section [scenario]: missing key name",
+            ),
+            (VALID_SCENARIO.replace("load = 0.8\n", ""), "line 4: section [hi]: missing key load"),
+            (
+                "# header\n\n" + VALID_SCENARIO.replace("load = 0.8\n", ""),
+                "line 6: section [hi]: missing key load",
+            ),
+            (VALID_SCENARIO.replace("load = 0.5\n", ""), "line 10: section [lo]: missing key load"),
+            (
+                VALID_SCENARIO.replace("gamma = 0.3\n", ""),
+                "line 18: section [common]: missing key gamma",
+            ),
+            (
+                VALID_SCENARIO.replace("alpha = 0.5\nbeta = 0.8\n", ""),
+                "line 22: section [shift]: missing key alpha, beta",
+            ),
+            (
+                MIRRORED_SCENARIO.replace("ci_g_per_kwh = 41\n", "").replace("pue = 1.1\n", ""),
+                "line 10: section [hi]: missing ci_g_per_kwh, pue (or give op_kg_per_node_year)",
+            ),
+            (
+                VALID_SCENARIO.replace("pue = 1.1\n", ""),
+                "line 10: section [lo]: missing pue (or give op_kg_per_node_year)",
+            ),
+            (
+                VALID_SCENARIO.replace("load = 0.8\n", "load = 0.8\npue = 1.1\n"),
+                "line 4: section [hi]: give op_kg_per_node_year or a power model, not both",
+            ),
+        ],
+        ids=[
+            "scenario", "hi", "hi_after_comment", "lo", "common", "shift",
+            "hi_power_model", "lo_power_model", "both",
+        ],
+    )
+    def test_section_error_reports_header_line(self, text, message):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(text)
+        assert str(info.value) == message
+        assert info.value.line == int(message.split(":")[0].removeprefix("line "))
+
+    def test_missing_section_has_no_line(self):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(VALID_SCENARIO.split("[shift]")[0])
+        assert str(info.value) == "missing required section [shift]"
+        assert info.value.line is None
+
     @pytest.mark.parametrize("key", sorted(POWER_MODEL_KEYS))
     def test_both_op_and_power_model_rejected(self, key):
         bad = VALID_SCENARIO.replace(

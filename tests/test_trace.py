@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glshift import ModelError, TraceSpec, Uniform, compare_with_means
-from glshift.trace import BLOCK_STEPS, MAX_TRACE_STEPS, closed_form_total
+from glshift.model import _op
+from glshift.trace import BLOCK_STEPS, MAX_TRACE_STEPS
 
 DEFAULT_LOAD = Uniform(0.6, 1.0)
 DEFAULT_CI = Uniform(300.0, 500.0)
@@ -33,6 +34,12 @@ def spec(steps: int = 100_000, seed: int = 42, correlated: bool = False) -> Trac
 # streamed statistics the whole-array formulas within rounding.
 
 
+def step_total(load, rate, gamma: float, embodied: float):
+    """The oracle's total at a load and rate: the model's operational term
+    for one site plus the embodied term; elementwise over arrays."""
+    return _op(1.0, rate, load, gamma) + embodied
+
+
 def reference_draw(spec: TraceSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     loads = rng.uniform(spec.load_dist.low, spec.load_dist.high, spec.steps)
@@ -47,14 +54,14 @@ def reference_draw(spec: TraceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def reference_comparison(spec: TraceSpec, gamma: float, embodied: float) -> dict[str, float]:
     loads, cis = reference_draw(spec)
-    rates = closed_form_total(loads, cis, gamma, embodied)
+    rates = step_total(loads, cis, gamma, embodied)
     trace_total = float(np.mean(rates))
-    closed = closed_form_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
+    closed = step_total(spec.load_dist.mean, spec.ci_dist.mean, gamma, embodied)
     stderr = float(np.std(rates, ddof=1)) / math.sqrt(spec.steps) if spec.steps > 1 else 0.0
     return {
         "trace_total": trace_total,
         "closed_form_total": closed,
-        "sample_mean_total": closed_form_total(
+        "sample_mean_total": step_total(
             float(np.mean(loads)), float(np.mean(cis)), gamma, embodied
         ),
         "z_score": (trace_total - closed) / stderr if stderr > 0.0 else 0.0,
@@ -141,6 +148,21 @@ class TestStreamedStatistics:
         result = compare_with_means(constant, 0.3, 444.0)
         assert result.z_score == 0.0
         assert result.trace_total == pytest.approx(result.closed_form_total, rel=1e-12)
+        # every sum is of deviations from the first step, all zero here
+        assert result.trace_total == result.closed_form_total
+        assert result.sample_covariance == 0.0
+
+    @pytest.mark.parametrize("steps", [BLOCK_STEPS - 1, BLOCK_STEPS + 1, 3 * BLOCK_STEPS + 5])
+    @pytest.mark.parametrize("seed", [0, 7, 2026])
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_covariance_of_rates_far_from_zero(self, steps, seed, correlated):
+        """Raw sums of load * rate cancel at 1e12; deviations keep the covariance."""
+        trace = TraceSpec(steps, seed, DEFAULT_LOAD, Uniform(1e12, 1e12 + 1e3), correlated)
+        loads, cis = reference_draw(trace)
+        dl, dc = loads - loads[0], cis - cis[0]
+        expected = float(np.mean(dl * dc) - np.mean(dl) * np.mean(dc))
+        result = compare_with_means(trace, 0.3, 444.0)
+        assert result.sample_covariance == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_overflow_over_several_blocks_is_one_error(self):
         huge = TraceSpec(3 * BLOCK_STEPS + 1, 1, DEFAULT_LOAD, Uniform(0.0, 1e300))
@@ -175,12 +197,12 @@ class TestEvaluateTrace:
             steps=1000, seed=1, load_dist=Uniform(0.8, 0.8), ci_dist=Uniform(350.0, 350.0)
         )
         total = compare_with_means(constant, 0.3, 444.0).trace_total
-        assert total == pytest.approx(closed_form_total(0.8, 350.0, 0.3, 444.0), rel=1e-12)
+        assert total == pytest.approx(step_total(0.8, 350.0, 0.3, 444.0), rel=1e-12)
 
     def test_single_step(self):
         single = spec(steps=1)
         loads, cis = next(single.blocks())
-        expected = closed_form_total(float(loads[0]), float(cis[0]), 0.3, 444.0)
+        expected = step_total(float(loads[0]), float(cis[0]), 0.3, 444.0)
         total = compare_with_means(single, 0.3, 444.0).trace_total
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -245,6 +267,12 @@ class TestStepsCap:
 
     def test_cap_covers_the_benchmark_trace(self):
         assert MAX_TRACE_STEPS >= 17_000_000
+
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_empty_trace_rejected(self, steps):
+        with pytest.raises(ValueError) as info:
+            spec(steps=steps)
+        assert str(info.value) == "steps must be >= 1"
 
     def test_largest_trace_accepted(self):
         assert spec(steps=MAX_TRACE_STEPS).steps == MAX_TRACE_STEPS

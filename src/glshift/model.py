@@ -176,12 +176,16 @@ def op_full_per_node(model: NodePowerModel) -> float:
 
 
 def _where(cond, if_true, if_false):
-    """Float counterpart of numpy.where: the kernel's only branching step.
+    """The kernel's only branching step: numpy.where for array conditions.
 
-    Both branches are evaluated, as they are by numpy.where, so the
-    kernel guards its divisions instead of relying on short circuits.
+    A condition without dimensions picks a branch, so scalars stay scalars.
+    Both branches are evaluated, so the kernel guards its divisions.
     """
-    return if_true if cond else if_false
+    if getattr(cond, "ndim", 0) == 0:
+        return if_true if cond else if_false
+    import numpy as np
+
+    return np.where(cond, if_true, if_false)
 
 
 def _op(sites, op_full, load, gamma):
@@ -202,16 +206,14 @@ def _emissions(
     alpha,
     beta,
     eta,
-    where=_where,
 ) -> EmissionsReport:
     """The emissions kernel: every term of the model, computed once.
 
     Per class it reads the site count and the per-site embodied and
     full-load operational emissions; then the shift knobs.  Every field
-    may be a Python float (with where=_where) or a numpy array (with
-    where=numpy.where); arrays broadcast against each other, and every
-    report field is then an array.  Elementwise the two give the same
-    IEEE operations in the same order, hence identical bits.
+    may be a Python float or a numpy array; arrays broadcast against each
+    other, and every report field is then an array.  Elementwise the two
+    give the same IEEE operations in the same order, hence identical bits.
     """
     embodied_total = sites_hi * embodied_hi + sites_lo * embodied_lo
     # alpha_eff = min(alpha, free/busy), taking alpha on ties as the
@@ -219,11 +221,11 @@ def _emissions(
     busy = sites_hi * load_hi
     free = sites_lo * (1.0 - load_lo)
     moving = busy != 0.0
-    ratio = free / where(moving, busy, 1.0)
-    alpha_eff = where(moving & (ratio < alpha), ratio, alpha)
+    ratio = free / _where(moving, busy, 1.0)
+    alpha_eff = _where(moving & (ratio < alpha), ratio, alpha)
     new_hi = load_hi * (1.0 - alpha_eff)
     new_lo = load_lo + alpha_eff * load_hi * sites_hi / sites_lo
-    new_lo = where(1.0 < new_lo, 1.0, new_lo)
+    new_lo = _where(1.0 < new_lo, 1.0, new_lo)
     op_hi = _op(sites_hi, op_full_hi, new_hi, gamma)
     op_lo = _op(sites_lo, op_full_lo, new_lo, gamma)
     # moving work costs eta per unit moved, on the full-load operational
@@ -238,15 +240,15 @@ def _emissions(
     )
     gls = embodied_total + op_hi + op_lo + overhead
     # beta*x + (1-beta)*x may round away from x: keep the baseline then
-    blended = where(
+    blended = _where(
         (beta == 0.0) | (gls == baseline),
         baseline,
         beta * gls + (1.0 - beta) * baseline,
     )
     # a zero baseline leaves the reduction undefined: NaN, not 0
     positive = baseline > 0.0
-    reduction = where(
-        positive, (baseline - blended) / where(positive, baseline, 1.0), math.nan
+    reduction = _where(
+        positive, (baseline - blended) / _where(positive, baseline, 1.0), math.nan
     )
     return EmissionsReport(
         embodied_total=embodied_total,

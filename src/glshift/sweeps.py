@@ -21,7 +21,6 @@ from .scenario import ScenarioConfig
 if TYPE_CHECKING:
     import numpy as np
 
-VARIANTS = ("full", "zero_idle", "zero_embodied", "no_time_constraints")
 # variant -> whether it keeps (embodied carbon, idle power, time constraints)
 _KEEPS = {
     "full": (True, True, True),
@@ -29,6 +28,7 @@ _KEEPS = {
     "zero_embodied": (False, True, True),
     "no_time_constraints": (False, False, False),
 }
+VARIANTS = tuple(_KEEPS)  # in CSV column order
 SWEEP_PARAMETERS = ("load_both", "load_hi")
 MAX_GRID_POINTS = 1_000_001  # a 1e-6 step over [0,1]
 KINK_TOL = 1e-9  # second differences at or below this are no kink
@@ -91,10 +91,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
     The kernel fields that the variants toggle (per-site embodied, gamma
     and beta) are columns with one entry per variant, so that one kernel
-    call per block of grid points evaluates every variant.  Where
-    the baseline vanishes (all toggles zero at load 0) the reduction is
-    reported as its right-hand limit, which for equal-load sweeps equals
-    the constant value on (0, 0.5].
+    call per block of grid points evaluates every variant.  Where the
+    baseline vanishes (all toggles zero at load 0) the reduction is its
+    value at load 1e-9: the right-hand limit if eta = 0, but if eta > 0
+    about -eta*1e9, where the limit is -inf (a load-free overhead over ~0).
     """
     import numpy as np
 
@@ -115,7 +115,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         1.0,  # move the whole movable fraction
         np.where(timed, base.policy.beta, 1.0),
         base.policy.eta,
-        np.where,
     )
     grid = spec.grid()
     rows: list[SweepRow] = []

@@ -70,10 +70,15 @@ class TraceSpec:
             raise ValueError("load bounds must satisfy 0 <= min <= max <= 1")
         if not 0.0 <= self.ci_dist.low <= self.ci_dist.high < math.inf:
             raise ValueError("rate bounds must satisfy 0 <= min <= max < inf")
+        # ints and numpy integers have __index__; floats and strings do not
+        if not hasattr(self.steps, "__index__"):
+            raise ValueError("steps must be an integer")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.steps > MAX_TRACE_STEPS:
             raise ValueError(f"steps must be <= {MAX_TRACE_STEPS:,}")
+        if not (hasattr(self.seed, "__index__") and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
     def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The load and rate traces, BLOCK_STEPS steps at a time.
@@ -84,7 +89,7 @@ class TraceSpec:
 
         load_rng = np.random.default_rng(self.seed)
         rate_rng = np.random.default_rng(self.seed)
-        rate_rng.bit_generator.advance(self.steps)
+        rate_rng.bit_generator.advance(int(self.steps))  # numpy integers overflow here
         load, rate = self.load_dist, self.ci_dist
         span = rate.high - rate.low
         for start in range(0, self.steps, BLOCK_STEPS):

@@ -304,6 +304,13 @@ class TestOracle:
         assert out == ""
         assert err == "error: steps must be >= 1\n"
 
+    def test_negative_seed_rejected(self, capsys):
+        """numpy's own message did not name the option."""
+        code, out, err = run(capsys, "oracle", "--seed", "-1")
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err == "error: seed must be a non-negative integer\n"
+
     @pytest.mark.parametrize("steps", ["31536001", "1000000000000000"])
     def test_too_many_steps_rejected_before_any_allocation(self, capsys, steps):
         code, out, err = run(capsys, "oracle", "--steps", steps)

@@ -321,9 +321,7 @@ class TestArrayKernelGuard:
                 config.hi, config.lo, config.gamma, replace(config.policy, alpha=alpha), variant
             )
             with np.errstate(all="ignore"):  # Python floats overflow silently too
-                array = _emissions(
-                    load_hi, load_lo, *kernel_fields(hi, lo, gamma, policy), where=np.where
-                )
+                array = _emissions(load_hi, load_lo, *kernel_fields(hi, lo, gamma, policy))
             points = [(replace(hi, load=a), replace(lo, load=b)) for a, b in loads]
             scalar = [blended_emissions(h, l, gamma, policy) for h, l in points]
             reference = [reference_blended(h, l, gamma, policy) for h, l in points]
@@ -374,12 +372,30 @@ class TestArrayKernelGuard:
             for name, column in zip(KERNEL_ARGS, columns)
         ]
         with np.errstate(all="ignore"):  # Python floats overflow silently too
-            array = _emissions(*fields, where=np.where)
+            array = _emissions(*fields)
         scalar = [blended_emissions(*args) for args in inputs]
         for field in dataclasses.fields(EmissionsReport):
             got = np.broadcast_to(getattr(array, field.name), (len(points),))
             expected = bits([getattr(report, field.name) for report in scalar])
             assert bits(got.tolist()) == expected, field.name
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=configs, alpha=unit)
+    @example(config=SATURATING, alpha=1.0)
+    @example(config=ALL_ZERO, alpha=0.5)
+    def test_kernel_numpy_scalars_stay_scalars(self, config, alpha):
+        """numpy scalar fields take the scalar branches: no report field is
+        a 0-d array, and each has the bits of the float inputs' field."""
+        hi, lo = config.hi, config.lo
+        policy = replace(config.policy, alpha=alpha)
+        fields = (hi.load, lo.load, *kernel_fields(hi, lo, config.gamma, policy))
+        expected = _emissions(*fields)
+        with np.errstate(all="ignore"):  # Python floats overflow silently too
+            got = _emissions(*map(np.float64, fields))
+        for field in dataclasses.fields(EmissionsReport):
+            value = getattr(got, field.name)
+            assert not isinstance(value, np.ndarray), field.name
+            assert bits([value]) == bits([getattr(expected, field.name)]), field.name
 
     @pytest.mark.parametrize(
         "config,param,nans",

@@ -303,6 +303,23 @@ class TestRangeRules:
             TraceSpec(steps=10, seed=1, load_dist=DEFAULT_LOAD, ci_dist=Uniform(low, high))
         assert "\n" not in str(info.value)
 
+    @pytest.mark.parametrize("steps", [100_000.0, 10.5, "10", None])
+    def test_steps_not_an_integer_rejected(self, steps):
+        """Checked before the range rules, which would compare a string."""
+        with pytest.raises(ValueError) as info:
+            spec(steps=steps)
+        assert str(info.value) == "steps must be an integer"
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 42.0, "42", None, np.int64(-1)])
+    def test_seed_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ValueError) as info:
+            spec(seed=seed)
+        assert str(info.value) == "seed must be a non-negative integer"
+
+    @pytest.mark.parametrize("steps,seed", [(np.int64(10), np.uint64(7)), (10, 2**70), (1, 0)])
+    def test_integer_steps_and_seeds_accepted(self, steps, seed):
+        assert compare_with_means(spec(steps, seed), 0.3, 444.0).trace_total > 0.0
+
     @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan])
     def test_gamma_outside_unit_interval_rejected(self, gamma):
         """The model's own gamma rule, as a ModelError."""

@@ -1,7 +1,7 @@
 """Command-line front end: gls evaluate | sweep | growth | oracle.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 statistical
-mismatch (oracle z-score above 3).
+Exit codes: 0 success, 1 validation error, 2 I/O error or a malformed
+command line (argparse), 3 statistical mismatch (oracle z-score above 3).
 """
 
 from __future__ import annotations

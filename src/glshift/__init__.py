@@ -21,7 +21,6 @@ from .scenario import (
     wind_beta,
 )
 from .sweeps import (
-    SweepRow,
     SweepSpec,
     capacity_projection,
     kink_location,
@@ -41,7 +40,6 @@ __all__ = [
     "ScenarioError",
     "ShiftPolicy",
     "SiteClass",
-    "SweepRow",
     "SweepSpec",
     "TraceSpec",
     "Uniform",

@@ -131,10 +131,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for first in range(0, len(rows), _CSV_BLOCK):
             out.write(
                 "".join(
-                    f"{row.load:.6g},"
-                    + ",".join(f"{row.reductions[v]:.12g}" for v in variants)
-                    + "\n"
-                    for row in rows[first : first + _CSV_BLOCK]
+                    f"{load:.6g}," + ",".join(f"{value:.12g}" for value in point) + "\n"
+                    for load, point in rows[first : first + _CSV_BLOCK].tolist()
                 )
             )
     for variant, location in zip(variants, kinks):

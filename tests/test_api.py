@@ -21,7 +21,6 @@ PUBLIC_API = [
     "ScenarioError",
     "ShiftPolicy",
     "SiteClass",
-    "SweepRow",
     "SweepSpec",
     "TraceSpec",
     "Uniform",

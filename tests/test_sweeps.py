@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,6 @@ from glshift import (
     ScenarioConfig,
     ShiftPolicy,
     SiteClass,
-    SweepRow,
     SweepSpec,
     blended_emissions,
     capacity_projection,
@@ -109,12 +109,22 @@ def reference_reduction(
     return reference_blended(*variant_inputs(hi, lo, gamma, policy, variant)).reduction
 
 
-def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
+def record_rows(loads: list[float], columns: dict[str, list[float]]) -> np.recarray:
+    """A sweep result as run_sweep returns it: rows.load and one
+    rows.reductions field per variant."""
+    rows = np.recarray(len(loads), [("load", float), ("reductions", [(v, float) for v in columns])])
+    rows.load = loads
+    for variant, values in columns.items():
+        rows.reductions[variant] = values
+    return rows
+
+
+def reference_sweep(spec: SweepSpec) -> np.recarray:
     base = spec.base
     policy = replace(base.policy, alpha=1.0)
-    rows = []
-    for load in reference_grid(spec):
-        reductions = {}
+    loads = reference_grid(spec)
+    columns = {variant: [] for variant in spec.variants}
+    for load in loads:
         for variant in spec.variants:
             hi = replace(base.hi, load=load)
             lo = base.lo if spec.swept_parameter == "load_hi" else replace(base.lo, load=load)
@@ -124,12 +134,11 @@ def reference_sweep(spec: SweepSpec) -> list[SweepRow]:
                 hi = replace(base.hi, load=eps)
                 lo = base.lo if spec.swept_parameter == "load_hi" else replace(base.lo, load=eps)
                 value = reference_reduction(hi, lo, base.gamma, policy, variant)
-            reductions[variant] = value
-        rows.append(SweepRow(load=load, reductions=reductions))
-    return rows
+            columns[variant].append(value)
+    return record_rows(loads, columns)
 
 
-def reference_kink(rows: list[SweepRow], variant: str) -> float | None:
+def reference_kink(rows: np.recarray, variant: str) -> float | None:
     values = [row.reductions[variant] for row in rows]
     best_index, best_mag = None, KINK_TOL
     for i in range(1, len(values) - 1):
@@ -145,7 +154,7 @@ def bits(values) -> list[bytes]:
     return [struct.pack("d", v) for v in values]
 
 
-def sweep_bits(rows: list[SweepRow], variants) -> list[bytes]:
+def sweep_bits(rows: np.recarray, variants) -> list[bytes]:
     return bits([row.load for row in rows]) + [
         struct.pack("d", row.reductions[v]) for row in rows for v in variants
     ]
@@ -430,7 +439,7 @@ class TestArrayKernelGuard:
 
     def test_no_variants(self):
         rows = run_sweep(SweepSpec(base=SATURATING, step=0.5, variants=()))
-        assert [(row.load, row.reductions) for row in rows] == [(0.0, {}), (0.5, {}), (1.0, {})]
+        assert rows.tolist() == [(0.0, ()), (0.5, ()), (1.0, ())]
 
     def test_examples_reach_every_branch(self):
         hi, lo = SATURATING.hi, SATURATING.lo
@@ -446,10 +455,24 @@ class TestArrayKernelGuard:
         )
         assert math.isnan(blended_emissions(zero.hi, zero.lo, 0.0, zero.policy).reduction)
 
-    def test_sweep_rows_hold_builtin_floats(self):
+    def test_sweep_rows_hold_float64(self):
         rows = run_sweep(SweepSpec(base=read_bundled("table2_s1"), step=0.25))
-        assert all(type(row.load) is float for row in rows)
-        assert all(type(v) is float for row in rows for v in row.reductions.values())
+        assert rows.dtype["load"] == np.float64
+        assert [rows.dtype["reductions"][v] for v in VARIANTS] == [np.float64] * len(VARIANTS)
+
+    def test_sweep_peak_memory(self):
+        """100,001 points x 4 variants: the result itself is 4.0 MB
+        (5 float64 fields per point), the grid 0.8 MB; nothing may be
+        held per point beyond that."""
+        spec = SweepSpec(base=read_bundled("table2_s3"), step=1e-5)
+        tracemalloc.start()
+        try:
+            rows = run_sweep(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 100_001
+        assert peak < 8_000_000
 
     def test_scalar_report_holds_builtin_floats(self, scenarios):
         for config in scenarios.values():
@@ -524,6 +547,17 @@ def test_cli_output_byte_identical(name, capsys):
 
 
 class TestGridBound:
+    @pytest.mark.parametrize(
+        "step,grid",
+        [
+            (0.3, [0.0, 0.3, 0.6, 0.8999999999999999]),  # stop is dropped
+            (0.6, [0.0, 0.6, 1.0]),  # an uneven last interval
+            (0.4, [0.0, 0.4, 0.8]),  # 2.5 intervals round to 2 (ties to even)
+        ],
+    )
+    def test_grid_rule(self, step, grid):
+        assert SweepSpec(base=read_bundled("table2_s1"), step=step).grid().tolist() == grid
+
     def test_largest_grid_accepted(self):
         spec = SweepSpec(base=read_bundled("table2_s1"), step=1.0 / (MAX_GRID_POINTS - 1))
         assert spec.step > 0.0  # constructed only: the grid itself is not built
@@ -577,7 +611,7 @@ class TestKinkLocation:
     @example(values=[0.0, math.nan, 0.0, 0.0, 5.0])  # NaN never wins
     @example(values=[0.0, 0.0, KINK_TOL, 0.0])  # at the tolerance: no kink
     def test_matches_per_point_reference(self, values):
-        rows = [SweepRow(load=i / 64.0, reductions={"full": v}) for i, v in enumerate(values)]
+        rows = record_rows([i / 64.0 for i in range(len(values))], {"full": values})
         assert kink_location(rows, "full") == reference_kink(rows, "full")
 
     def test_equal_load_sweep_kinks_at_half(self, ai_solar_rows):
@@ -588,13 +622,17 @@ class TestKinkLocation:
         assert kink_location(hpc_s1_rows, "full") == pytest.approx(0.5)
 
     def test_constant_series_has_no_kink(self):
-        rows = [SweepRow(load=i / 10.0, reductions={"full": 0.25}) for i in range(11)]
+        rows = record_rows([i / 10.0 for i in range(11)], {"full": [0.25] * 11})
         assert kink_location(rows, "full") is None
 
     def test_too_few_rows(self):
-        rows = [SweepRow(load=0.0, reductions={"full": 0.0})]
+        rows = record_rows([0.0], {"full": [0.0]})
         with pytest.raises(ValueError):
             kink_location(rows, "full")
+
+    def test_unknown_variant_rejected(self, ai_solar_rows):
+        with pytest.raises(ValueError, match="bogus"):
+            kink_location(ai_solar_rows, "bogus")
 
 
 class TestYearsCompensated:

@@ -24,8 +24,6 @@ EXIT_VALIDATION = 1
 EXIT_IO = 2
 EXIT_STATISTICAL = 3
 
-_CSV_BLOCK = 4096  # sweep rows per write
-
 
 def round_half_away(value: float) -> int:
     """Round to the nearest integer, ties away from zero."""
@@ -113,7 +111,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _read_scenario(args.scenario)
-    variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
+    variants = tuple(args.variants.split(","))
     spec = SweepSpec(
         base=config,
         swept_parameter=args.param,
@@ -125,16 +123,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(spec)
     # before any output, so that a failing kink check leaves no CSV behind
     kinks = [kink_location(rows, variant) for variant in variants] if args.kink else []
+    import numpy as np  # already loaded by run_sweep
+
+    table = np.asarray(rows).view((float, 1 + len(variants)))  # no copy
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-        out.write("load," + ",".join(variants) + "\n")
-        # one joined chunk per block of rows: the whole CSV is never held
-        for first in range(0, len(rows), _CSV_BLOCK):
-            out.write(
-                "".join(
-                    f"{load:.6g}," + ",".join(f"{value:.12g}" for value in point) + "\n"
-                    for load, point in rows[first : first + _CSV_BLOCK].tolist()
-                )
-            )
+        # a handle, not the path: savetxt would gzip a .gz path
+        np.savetxt(
+            out, table, fmt=["%.6g"] + ["%.12g"] * len(variants), delimiter=",",
+            header="load," + ",".join(variants), comments="",
+        )
     for variant, location in zip(variants, kinks):
         label = "none" if location is None else f"{location:.6g}"
         print(f"kink[{variant}] = {label}", file=sys.stderr)
@@ -185,7 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--from", dest="start", type=float, default=0.0)
     p_sweep.add_argument("--to", dest="stop", type=float, default=1.0)
     p_sweep.add_argument("--step", type=float, default=0.01)
-    p_sweep.add_argument("--variants", help="comma-separated subset of " + ",".join(VARIANTS))
+    p_sweep.add_argument(
+        "--variants", default=",".join(VARIANTS), help="comma-separated subset of %(default)s"
+    )
     p_sweep.add_argument("--out", help="write CSV to this path instead of stdout")
     p_sweep.add_argument("--kink", action="store_true", help="report kink locations on stderr")
     p_sweep.set_defaults(func=cmd_sweep)

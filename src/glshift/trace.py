@@ -125,10 +125,6 @@ class TraceComparison:
     z_score: float
     sample_covariance: float
 
-    @property
-    def sample_mean_delta(self) -> float:
-        return self.trace_total - self.sample_mean_total
-
 
 def compare_with_means(spec: TraceSpec, gamma: float, embodied: float) -> TraceComparison:
     """Compare the time-stepped total against closed-form evaluations."""

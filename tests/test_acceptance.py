@@ -189,7 +189,8 @@ def test_criterion_7_oracle_equivalence():
         if abs(result.z_score) <= 3.0:
             ok += 1
         expected_gap = (1.0 - 0.3) * result.sample_covariance
-        assert result.sample_mean_delta == pytest.approx(expected_gap, rel=1e-9, abs=1e-9)
+        gap = result.trace_total - result.sample_mean_total
+        assert gap == pytest.approx(expected_gap, rel=1e-9, abs=1e-9)
     assert ok >= 95
 
     control = TraceSpec(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -202,10 +203,9 @@ class TestSweep:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_csv_written_in_blocks_is_unchanged(self, capsys, tmp_path):
-        """10,001 rows span several write blocks; the sha256 is the output
-        of the single-string write that the blocks replaced."""
+        """10,001 rows, written one at a time; the sha256 is the output of
+        the single-string write of earlier versions."""
         expected = "88d39616362d146a1dc95e75fa7314d78d13185b4c5eddc828dd69525546056c"
-        assert 10_001 > 2 * glshift.cli._CSV_BLOCK
         code, out, err = run(capsys, "sweep", "table2_s1", "--step", "1e-4")
         assert (code, err) == (EXIT_OK, "")
         assert hashlib.sha256(out.encode()).hexdigest() == expected
@@ -241,6 +241,34 @@ class TestSweep:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert err == "error: repeated variants: ['full']\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_empty_variants_rejected(self, capsys, tmp_path, to_file):
+        """An empty --variants list names no known variant; it does not
+        fall back to all four."""
+        path = tmp_path / "sweep.csv"
+        extra = ("--out", str(path)) if to_file else ()
+        code, out, err = run(
+            capsys, "sweep", "table2_s1", "--step", "0.5", "--variants", "", *extra,
+        )
+        assert (code, out, err) == (EXIT_VALIDATION, "", "error: unknown variants: ['']\n")
+        assert not path.exists()
+
+    def test_writer_peak_memory(self, capsys, tmp_path):
+        """100,001 rows: the sweep's table is 4.0 MB and the CSV 6.9 MB.
+        The writer formats one row at a time, so the whole CSV is never
+        held; a writer that joins it into one string peaks near 40 MB."""
+        run(capsys, "sweep", "table2_s3", "--step", "0.5")  # warm-up: imports, caches
+        path = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            code = main(["sweep", "table2_s3", "--step", "1e-5", "--kink", "--out", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert path.read_bytes().count(b"\n") == 100_002  # header + rows
+        assert peak < 10_000_000
 
 
 class TestGrowth:

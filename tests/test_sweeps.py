@@ -226,6 +226,18 @@ def point_inputs(config: ScenarioConfig, point: tuple, arrayed: set[str]):
     )
 
 
+# default-grid loads where criterion 6's variant order fails: eta = 0.01
+# in these scenarios, and below the break-even load the overhead exceeds
+# the saving, so a variant with a smaller baseline divides the same loss
+# by less; in the eta = 0 scenarios the order holds everywhere
+UNORDERED = {
+    "table2_s2": [0.0, 0.01],
+    "table2_s3": [0.0, 0.01],
+    "table2_s4": [0.0, 0.01, 0.02],
+    "table2_s5": [0.0, 0.01, 0.02],
+}
+
+
 @pytest.fixture(scope="module")
 def ai_solar_rows():
     spec = SweepSpec(base=read_bundled("table1_solar"))
@@ -259,13 +271,22 @@ class TestRunSweep:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.0, abs=1e-12)
 
-    def test_variant_ordering(self, ai_solar_rows):
-        for row in ai_solar_rows:
-            r = row.reductions
-            assert r["no_time_constraints"] >= r["zero_embodied"] - 1e-12
-            assert r["zero_embodied"] >= r["full"] - 1e-12
-            assert r["no_time_constraints"] >= r["zero_idle"] - 1e-12
-            assert r["zero_idle"] >= r["full"] - 1e-12
+    @pytest.mark.parametrize("param", ["load_both", "load_hi"])
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_variant_ordering(self, name, param):
+        """Criterion 6's order no_time_constraints >= zero_embodied >= full,
+        and the same through zero_idle, holds at every default grid point
+        of an eta = 0 scenario and fails exactly at the lowest loads of an
+        eta > 0 one."""
+        rows = run_sweep(SweepSpec(base=read_bundled(name), swept_parameter=param))
+        r = rows.reductions
+        ordered = (
+            (r["no_time_constraints"] >= r["zero_embodied"] - 1e-12)
+            & (r["zero_embodied"] >= r["full"] - 1e-12)
+            & (r["no_time_constraints"] >= r["zero_idle"] - 1e-12)
+            & (r["zero_idle"] >= r["full"] - 1e-12)
+        )
+        assert rows.load[~ordered].tolist() == pytest.approx(UNORDERED.get(name, []), abs=1e-12)
 
     def test_full_variant_agrees_with_direct_evaluation(self, ai_solar_rows):
         """Sweep points must match blended_emissions with alpha forced to 1."""

@@ -228,7 +228,7 @@ class TestCompareWithMeans:
         for seed in range(10):
             result = compare_with_means(spec(seed=seed, steps=10_000), 0.3, 444.0)
             expected_gap = (1.0 - 0.3) * result.sample_covariance
-            assert result.sample_mean_delta == pytest.approx(
+            assert result.trace_total - result.sample_mean_total == pytest.approx(
                 expected_gap, rel=1e-9, abs=1e-9
             )
 
@@ -237,10 +237,10 @@ class TestCompareWithMeans:
         sizes = [1_000, 10_000, 100_000]
         rms = []
         for steps in sizes:
-            gaps = [
-                compare_with_means(spec(steps=steps, seed=seed), 0.3, 444.0).sample_mean_delta
-                for seed in range(64)
+            results = [
+                compare_with_means(spec(steps=steps, seed=seed), 0.3, 444.0) for seed in range(64)
             ]
+            gaps = [r.trace_total - r.sample_mean_total for r in results]
             rms.append(math.sqrt(sum(g * g for g in gaps) / len(gaps)))
         slope = np.polyfit(np.log10(sizes), np.log10(rms), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.15)

@@ -43,7 +43,7 @@ def _read_scenario(path_arg: str) -> ScenarioConfig:
         if builtin is None:
             raise FileNotFoundError(f"scenario file not found: {path_arg}")
         path = builtin
-    return load_scenario(path.read_text(encoding="utf-8"))
+    return load_scenario(path.read_text(encoding="utf-8-sig"))
 
 
 def evaluate_results(report: EmissionsReport) -> list[tuple[str, str | None, float]]:

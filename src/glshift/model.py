@@ -28,10 +28,10 @@ def check_gamma(gamma: float) -> None:
     _require(0.0 <= gamma <= 1.0, "gamma must be in [0,1]")
 
 
-def totals_fit(
+def check_totals(
     site_count: int, nodes_per_site: int, embodied_per_node: float, op_full_per_node: float
-) -> bool:
-    """Whether every annual total of a class stays finite.
+) -> None:
+    """The rule that every annual total of a class stays finite.
 
     Each report total is at most the sum of this bound over both classes
     (op_hi, op_lo and the overhead each stay below sites * nodes * op);
@@ -40,8 +40,11 @@ def totals_fit(
     try:
         count = float(site_count) * float(nodes_per_site)
     except OverflowError:  # an int count beyond the float range
-        return False
-    return count * (embodied_per_node + 2.0 * op_full_per_node) <= sys.float_info.max / 4.0
+        count = math.inf
+    _require(
+        count * (embodied_per_node + 2.0 * op_full_per_node) <= sys.float_info.max / 4.0,
+        "annual totals too large for a float",
+    )
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,8 @@ class SiteClass:
         _require(self.embodied_per_node < math.inf, "embodied_per_node must be finite")
         _require(self.op_full_per_node >= 0.0, "op_full_per_node must be >= 0")
         _require(self.op_full_per_node < math.inf, "op_full_per_node must be finite")
-        _require(
-            totals_fit(
-                self.site_count, self.nodes_per_site, self.embodied_per_node, self.op_full_per_node
-            ),
-            "annual totals too large for a float",
+        check_totals(
+            self.site_count, self.nodes_per_site, self.embodied_per_node, self.op_full_per_node
         )
 
     @property

@@ -18,8 +18,8 @@ from .model import (
     ShiftPolicy,
     SiteClass,
     check_gamma,
+    check_totals,
     op_full_per_node,
-    totals_fit,
 )
 
 
@@ -258,7 +258,15 @@ def _range_error(exc: ModelError, *sections: dict[str, tuple[str, int]]) -> Scen
     for section in sections:
         if key in section:
             return ScenarioError(f"{key} {requirement}", section[key][1])
-    return ScenarioError(str(exc))
+    # a rule that names no key (the overflow bound) is blamed on the largest
+    # number it reads; load and gamma are parsed after it is checked
+    _, lineno, key = max(
+        (float(value), line, name)
+        for section in sections
+        for name, (value, line) in section.items()
+        if name not in ("load", "gamma")
+    )
+    return ScenarioError(f"key {key!r}: {exc}", lineno)
 
 
 def _numbers(section: dict[str, tuple[str, int]], keys: dict[str, str]) -> dict[str, float]:
@@ -292,19 +300,9 @@ def _site_class(
         if direct:
             op = _number(section, "op_kg_per_node_year")
         else:
-            power = NodePowerModel(**_numbers(section, _POWER_MODEL))
-            try:
-                op = op_full_per_node(power)
-            except ModelError:  # overflows: blamed below with a line number
-                op = math.inf
+            op = op_full_per_node(NodePowerModel(**_numbers(section, _POWER_MODEL)))
         # checked before load is parsed, so that the error names a key it reads
-        if not totals_fit(sites, nodes, embodied, op):
-            # blame the largest of the numbers the bound reads; all parsed above
-            read = [(common, "embodied_kg_per_node_year")] + [
-                (section, k) for k in ("sites", "nodes", "op_kg_per_node_year", *_POWER_MODEL)
-            ]
-            _, lineno, key = max((float(s[k][0]), s[k][1], k) for s, k in read if k in s)
-            raise ScenarioError(f"key {key!r}: annual totals too large for a float", lineno)
+        check_totals(sites, nodes, embodied, op)
         return SiteClass(
             site_count=sites,
             nodes_per_site=nodes,

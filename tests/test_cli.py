@@ -22,6 +22,7 @@ from glshift.cli import (
     main,
     round_half_away,
 )
+from tests.conftest import SCENARIO_NAMES
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -54,6 +55,19 @@ class TestBuiltinScenarios:
 
     def test_unknown_name(self):
         assert builtin_scenario_path("nope") is None
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["evaluate", "--csv"], ["sweep", "--step", "0.5"]],
+        ids=["evaluate", "csv", "sweep"],
+    )
+    def test_byte_order_mark_accepted(self, tmp_path, capsys, name, command):
+        """A file saved with a UTF-8 byte-order mark failed at line 1."""
+        text = builtin_scenario_path(name).read_text(encoding="utf-8")
+        path = tmp_path / f"{name}.scenario"
+        path.write_text("\ufeff" + text, encoding="utf-8")
+        verb, *options = command
+        assert run(capsys, verb, str(path), *options) == run(capsys, verb, name, *options)
 
 
 class TestEvaluate:

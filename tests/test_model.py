@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from glshift import (
     ideal_reduction,
     op_full_per_node,
 )
+from tests.conftest import SCENARIO_NAMES, read_bundled
 
 
 def site(
@@ -374,6 +376,55 @@ class TestBlendedEmissions:
         report = blended_emissions(hi, lo, 0.3, policy)
         assert report.gls_total == pytest.approx(report.baseline_total, rel=1e-12)
         assert abs(report.reduction) < 1e-12
+
+
+def exact_reduction(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> Fraction:
+    """The model's reduction in exact rational arithmetic: each term of the
+    kernel, computed from the exact values of the inputs without rounding."""
+    gamma, alpha, beta, eta = map(Fraction, (gamma, policy.alpha, policy.beta, policy.eta))
+    n_hi, n_lo = hi.site_count, lo.site_count
+    load_hi, load_lo = Fraction(hi.load), Fraction(lo.load)
+    op_hi_site = Fraction(hi.op_full_per_node) * hi.nodes_per_site
+    op_lo_site = Fraction(lo.op_full_per_node) * lo.nodes_per_site
+
+    def op(sites: int, op_site: Fraction, load: Fraction) -> Fraction:
+        return sites * (load + gamma * (1 - load)) * op_site
+
+    embodied = sum(Fraction(c.embodied_per_node) * c.nodes_per_site * c.site_count for c in (hi, lo))
+    busy, free = n_hi * load_hi, n_lo * (1 - load_lo)
+    alpha_eff = min(alpha, free / busy) if busy else alpha
+    new_lo = min(Fraction(1), load_lo + alpha_eff * busy / n_lo)
+    overhead = eta * alpha_eff * (n_hi * op_hi_site + n_lo * op_lo_site)
+    baseline = embodied + op(n_hi, op_hi_site, load_hi) + op(n_lo, op_lo_site, load_lo)
+    gls = embodied + op(n_hi, op_hi_site, load_hi * (1 - alpha_eff)) + op(n_lo, op_lo_site, new_lo)
+    gls += overhead
+    return beta * (baseline - gls) / baseline
+
+
+def assert_near_exact(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> None:
+    exact = exact_reduction(hi, lo, gamma, policy)
+    reduction = blended_emissions(hi, lo, gamma, policy).reduction
+    assert abs(Fraction(reduction) - exact) <= Fraction(1e-14) * abs(exact)
+
+
+class TestExactReference:
+    """The kernel's reduction against the exact model (ROADMAP item 2)."""
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_bundled_scenario_reduction(self, name):
+        config = read_bundled(name)
+        assert_near_exact(config.hi, config.lo, config.gamma, config.policy)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="reduction is a difference of nearly equal totals: exact +1.45e-17, kernel "
+        "-1.35e-16; forming it from the saving (ROADMAP item 2, step 2) fixes the sign",
+    )
+    def test_nearly_equal_totals_keep_their_sign(self):
+        hi = SiteClass(4, 51, 0.2762566345594576, 240.1691732768344, 539.1042868074098)
+        lo = SiteClass(2, 51, 0.13857584565674025, 856.985459847769, 539.1042868074097)
+        policy = ShiftPolicy(0.8368543330842746, 0.8749170161276372, 0.0)
+        assert_near_exact(hi, lo, 0.32989200684539166, policy)
 
 
 class TestIdealReduction:

@@ -464,9 +464,19 @@ class TestLoadScenario:
             load_scenario(bad)
         assert info.value.line == lineno
 
-    @pytest.mark.parametrize("key", ["sites", "nodes"])
-    def test_count_beyond_float_range_reports_line(self, key):
-        bad, lineno = scenario_with("hi", key, "1" + "0" * 400)
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sites", "1" + "0" * 400),
+            ("nodes", "1" + "0" * 400),
+            # without _integer's float check, the overflow bound blamed op_kg_per_node_year
+            ("sites", "-1" + "0" * 400),
+            ("nodes", "-1" + "0" * 400),
+        ],
+        ids=["sites", "nodes", "sites-negative", "nodes-negative"],
+    )
+    def test_count_beyond_float_range_reports_line(self, key, value):
+        bad, lineno = scenario_with("hi", key, value)
         with pytest.raises(ScenarioError, match=rf"^line {lineno}: key '{key}'") as info:
             load_scenario(bad)
         assert info.value.line == lineno
@@ -489,6 +499,15 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=rf"^line {lineno}: key '{key}': annual") as info:
             load_scenario(bad)
         assert info.value.line == lineno
+
+    @pytest.mark.parametrize("sites,nodes", [("-1", "10"), ("1", "-10"), ("0", "10"), ("1", "0")])
+    def test_overflowing_power_model_found_before_count_range(self, sites, nodes):
+        """A negative count times the overflowing op fit under the bound, so
+        the count's range was reported instead; a zero count was not."""
+        bad, lineno = scenario_with("lo", "node_power_w", "1e308")
+        bad = bad.replace("[lo]\nsites = 1\nnodes = 10", f"[lo]\nsites = {sites}\nnodes = {nodes}")
+        with pytest.raises(ScenarioError, match=rf"^line {lineno}: key 'node_power_w': annual"):
+            load_scenario(bad)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
     @pytest.mark.parametrize(
@@ -549,11 +568,14 @@ HUGE_NODES = VALID_SCENARIO.replace("nodes = 10", "nodes = 1" + "0" * 306, 1)
 @example(text=HUGE_NODES.replace("load = 0.8", "load = abc"))
 @example(text=HUGE_NODES.replace("gamma = 0.3", "gamma = 0.3x"))
 @example(text=HUGE_NODES.replace("load = 0.8", "load = 1e999"))
+@example(text=VALID_SCENARIO.replace("sites = 1", "sites = -1" + "0" * 400, 1))
 def test_fuzzed_scenario_evaluates_or_is_rejected(text):
-    """Every input ends in a config with finite totals or a ScenarioError."""
+    """Every input ends in a config with finite totals or a ScenarioError
+    that names a line (no mutation removes a section)."""
     try:
         config = load_scenario(text)
-    except ScenarioError:
+    except ScenarioError as exc:
+        assert exc.line is not None
         return
     assert type(config) is ScenarioConfig
     report = blended_emissions(config.hi, config.lo, config.gamma, config.policy)

@@ -28,25 +28,6 @@ def check_gamma(gamma: float) -> None:
     _require(0.0 <= gamma <= 1.0, "gamma must be in [0,1]")
 
 
-def check_totals(
-    site_count: int, nodes_per_site: int, embodied_per_node: float, op_full_per_node: float
-) -> None:
-    """The rule that every annual total of a class stays finite.
-
-    Each report total is at most the sum of this bound over both classes
-    (op_hi, op_lo and the overhead each stay below sites * nodes * op);
-    a quarter of the float range leaves room for rounding.
-    """
-    try:
-        count = float(site_count) * float(nodes_per_site)
-    except OverflowError:  # an int count beyond the float range
-        count = math.inf
-    _require(
-        count * (embodied_per_node + 2.0 * op_full_per_node) <= sys.float_info.max / 4.0,
-        "annual totals too large for a float",
-    )
-
-
 @dataclass(frozen=True)
 class NodePowerModel:
     """Electrical and emission characteristics of one compute node.
@@ -102,8 +83,18 @@ class SiteClass:
         _require(self.embodied_per_node < math.inf, "embodied_per_node must be finite")
         _require(self.op_full_per_node >= 0.0, "op_full_per_node must be >= 0")
         _require(self.op_full_per_node < math.inf, "op_full_per_node must be finite")
-        check_totals(
-            self.site_count, self.nodes_per_site, self.embodied_per_node, self.op_full_per_node
+        # every annual total stays finite: each report total is at most the
+        # sum of this bound over both classes (op_hi, op_lo and the overhead
+        # each stay below sites * nodes * op); a quarter of the float range
+        # leaves room for rounding
+        try:
+            count = float(self.site_count) * float(self.nodes_per_site)
+        except OverflowError:  # an int count beyond the float range
+            count = math.inf
+        _require(
+            count * (self.embodied_per_node + 2.0 * self.op_full_per_node)
+            <= sys.float_info.max / 4.0,
+            "annual totals too large for a float",
         )
 
     @property
@@ -240,11 +231,9 @@ def _emissions(
     )
     gls = embodied_total + op_hi + op_lo + overhead
     # beta*x + (1-beta)*x may round away from x: keep the baseline then
-    blended = _where(
-        (beta == 0.0) | (gls == baseline),
-        baseline,
-        beta * gls + (1.0 - beta) * baseline,
-    )
+    # (beta = 0 needs no test: 0*gls + 1*baseline is the baseline, since
+    # SiteClass keeps gls finite)
+    blended = _where(gls == baseline, baseline, beta * gls + (1.0 - beta) * baseline)
     # a zero baseline leaves the reduction undefined: NaN, not 0
     positive = baseline > 0.0
     reduction = _where(

@@ -18,7 +18,6 @@ from .model import (
     ShiftPolicy,
     SiteClass,
     check_gamma,
-    check_totals,
     op_full_per_node,
 )
 
@@ -259,7 +258,7 @@ def _range_error(exc: ModelError, *sections: dict[str, tuple[str, int]]) -> Scen
         if key in section:
             return ScenarioError(f"{key} {requirement}", section[key][1])
     # a rule that names no key (the overflow bound) is blamed on the largest
-    # number it reads; load and gamma are parsed after it is checked
+    # number it reads; the bound reads neither load nor gamma
     _, lineno, key = max(
         (float(value), line, name)
         for section in sections
@@ -301,8 +300,6 @@ def _site_class(
             op = _number(section, "op_kg_per_node_year")
         else:
             op = op_full_per_node(NodePowerModel(**_numbers(section, _POWER_MODEL)))
-        # checked before load is parsed, so that the error names a key it reads
-        check_totals(sites, nodes, embodied, op)
         return SiteClass(
             site_count=sites,
             nodes_per_site=nodes,

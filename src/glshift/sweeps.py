@@ -128,7 +128,7 @@ def run_sweep(spec: SweepSpec) -> np.recarray:
         for first in range(0, len(grid), _BLOCK):
             loads = grid[first : first + _BLOCK]
             values = _emissions(loads, lo.load if fixed_lo else loads, *fields).reduction
-            if first == 0 and loads[0] == 0.0 and np.isnan(values[:, 0]).any():
+            if loads[0] == 0.0 and np.isnan(values[:, 0]).any():
                 eps = 1e-9
                 retry = _emissions(eps, lo.load if fixed_lo else eps, *fields).reduction
                 values[:, 0] = np.where(np.isnan(values[:, 0]), retry[:, 0], values[:, 0])

@@ -153,16 +153,24 @@ class TestEvaluate:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "old,new",
+        "old,new,message",
         [
-            ("load = 1.0", "load = abc"),
-            ("gamma = 0.3", "gamma = 0.3x"),
-            ("load = 1.0", "load = 1e999"),
+            ("load = 1.0", "load = abc", "line 9: key 'load': not a number: 'abc'"),
+            (
+                "gamma = 0.3",
+                "gamma = 0.3x",
+                "line 8: key 'nodes': annual totals too large for a float",
+            ),
+            ("load = 1.0", "load = 1e999", "line 9: key 'load': not a finite number: '1e999'"),
         ],
         ids=["abc", "gamma", "1e999"],
     )
-    def test_overflow_blames_a_key_the_bound_reads(self, tmp_path, capsys, old, new):
-        """A key not parsed yet gave a bare ValueError, or was blamed itself."""
+    def test_overflow_blames_a_key_the_bound_reads(self, tmp_path, capsys, old, new, message):
+        """A key not parsed yet gave a bare ValueError, or was blamed itself.
+
+        The bound runs when the class is built, after its load is read, so a
+        malformed load reports its own error; gamma is read after the classes.
+        """
         text = builtin_scenario_path("table2_s1").read_text(encoding="utf-8")
         text = text.replace("nodes = 100", "nodes = 1" + "0" * 306, 1).replace(old, new, 1)
         path = tmp_path / "huge.scenario"
@@ -170,7 +178,7 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", str(path))
         assert code == EXIT_VALIDATION
         assert out == ""
-        assert err == "error: line 8: key 'nodes': annual totals too large for a float\n"
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("ci", ["0", "1"])
     def test_overflowing_power_model_blames_its_line(self, tmp_path, capsys, ci):
@@ -239,6 +247,14 @@ class TestSweep:
         )
         assert code == EXIT_OK
         assert "kink[no_time_constraints] = 0.5" in err
+
+    def test_kink_report_none(self, capsys):
+        """Below the cap the no_time_constraints curve is flat: no kink."""
+        code, _, err = run(
+            capsys, "sweep", "table1_solar", "--variants", "no_time_constraints",
+            "--to", "0.4", "--step", "0.1", "--kink",
+        )
+        assert (code, err) == (EXIT_OK, "kink[no_time_constraints] = none\n")
 
     def test_kink_needs_three_rows_before_any_output(self, capsys):
         code, out, err = run(

@@ -450,6 +450,11 @@ class TestIdealReduction:
         with pytest.raises(ModelError, match="^c_hi and c_lo must be >= 0 and finite$"):
             ideal_reduction(c_hi, c_lo, 0.3)
 
+    @pytest.mark.parametrize("load", [-0.1, 1.5, math.nan])
+    def test_load_outside_unit_interval_rejected(self, load):
+        with pytest.raises(ModelError, match=r"^load must be in \[0,1\]$"):
+            ideal_reduction(369.0, 211.0, load)
+
     @given(load=st.floats(0.0, 0.5))
     def test_plateau_below_half_load(self, load):
         assert ideal_reduction(369.0, 211.0, load) == ideal_reduction(369.0, 211.0, 0.0)

@@ -43,6 +43,11 @@ class TestFossilBackout:
         with pytest.raises(ScenarioError):
             RegionProfile("bad", average_ci=40.0, renewable_ci=44.0)
 
+    def test_negative_renewable_rejected(self):
+        with pytest.raises(ScenarioError) as info:
+            RegionProfile("a", 100.0, -1.0)
+        assert str(info.value) == "region 'a': need 0 <= renewable_ci <= average_ci"
+
     def test_infinite_average_rejected(self):
         """An infinite average gave an infinite fossil CI."""
         with pytest.raises(ScenarioError, match="^region 'a': average_ci must be finite$"):
@@ -193,6 +198,11 @@ class TestWindBeta:
         with pytest.raises(ScenarioError, match="^ideal_load_factor must be in"):
             wind_beta(math.nan, 0.3, 0.1)
 
+    def test_ideal_above_one_rejected(self):
+        with pytest.raises(ScenarioError) as info:
+            wind_beta(1.5, 0.3, 0.1)
+        assert str(info.value) == "ideal_load_factor must be in (0,1]"
+
     @pytest.mark.parametrize(
         "actual,penalty,message",
         [
@@ -297,6 +307,7 @@ SITE_RANGES = [
     ("pue", "0.5", "pue must be >= 1"),
     ("ci_g_per_kwh", "-1", "ci_g_per_kwh must be >= 0"),
     ("nu", "-0.1", "nu must be >= 0"),
+    ("load", "-0.1", "load must be in [0,1]"),
 ]
 # every range-checked key: section, key, an out-of-range value, the error
 RANGE_CASES = [(section, *case) for section in ("hi", "lo") for case in SITE_RANGES] + [
@@ -305,6 +316,9 @@ RANGE_CASES = [(section, *case) for section in ("hi", "lo") for case in SITE_RAN
     ("shift", "alpha", "1.5", "alpha must be in [0,1]"),
     ("shift", "beta", "-0.1", "beta must be in [0,1]"),
     ("shift", "eta", "1", "eta must be in [0,1)"),
+    ("shift", "alpha", "-0.1", "alpha must be in [0,1]"),
+    ("shift", "beta", "1.5", "beta must be in [0,1]"),
+    ("shift", "eta", "-0.1", "eta must be in [0,1)"),
 ]
 
 
@@ -373,8 +387,15 @@ class TestLoadScenario:
         [
             (VALID_SCENARIO + "\n[hi]\n", "line 27: duplicate section [hi]"),
             ("# header\nname = x\n" + VALID_SCENARIO, "line 2: key before any [section] header"),
+            # the second load in [hi], where nodes was
+            (VALID_SCENARIO.replace("nodes = 10", "load = 0.3", 1), "line 7: duplicate key 'load'"),
+            (VALID_SCENARIO.replace("[hi]", "[hi"), "line 4: expected 'key = value', got '[hi'"),
+            (VALID_SCENARIO.replace("[hi]", "hi]"), "line 4: expected 'key = value', got 'hi]'"),
         ],
-        ids=["duplicate_section", "key_before_section"],
+        ids=[
+            "duplicate_section", "key_before_section", "duplicate_key", "header_without_close",
+            "header_without_open",
+        ],
     )
     def test_misplaced_line_reports_line(self, text, message):
         with pytest.raises(ScenarioError) as info:

@@ -583,7 +583,10 @@ class TestGridBound:
         spec = SweepSpec(base=read_bundled("table2_s1"), step=1.0 / (MAX_GRID_POINTS - 1))
         assert spec.step > 0.0  # constructed only: the grid itself is not built
 
-    @pytest.mark.parametrize("step", [1e-12, 5e-324, 0.9 / (MAX_GRID_POINTS - 1)])
+    # 1,000,000.7 intervals pass the first comparison and round to 1,000,001
+    @pytest.mark.parametrize(
+        "step", [1e-12, 5e-324, 0.9 / (MAX_GRID_POINTS - 1), 1 / 1_000_000.7]
+    )
     def test_larger_grid_rejected_in_one_line(self, step):
         with pytest.raises(ValueError, match="sweep grid exceeds") as info:
             SweepSpec(base=read_bundled("table2_s1"), step=step)
@@ -612,6 +615,13 @@ class TestVariantNames:
         with pytest.raises(ValueError) as info:
             SweepSpec(base=read_bundled("table2_s1"), variants=("full", "bogus", "other"))
         assert str(info.value) == "unknown variants: ['bogus', 'other']"
+
+
+@pytest.mark.parametrize("start,stop", [(-0.1, 1.0), (0.0, 1.1), (0.6, 0.5)])
+def test_range_outside_unit_interval_rejected(start, stop):
+    with pytest.raises(ValueError) as info:
+        SweepSpec(base=read_bundled("table2_s1"), start=start, stop=stop)
+    assert str(info.value) == "need 0 <= start <= stop <= 1"
 
 
 def test_unknown_swept_parameter_rejected():
@@ -669,6 +679,11 @@ class TestYearsCompensated:
             math.log(2.0) / math.log(1.22), abs=1e-12
         )
         assert years_compensated(0.50, 0.22) == pytest.approx(3.49, abs=0.01)
+
+    def test_negative_reduction_rejected(self):
+        with pytest.raises(ValueError) as info:
+            years_compensated(-0.1, 0.22)
+        assert str(info.value) == "reduction must be in [0,1)"
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -730,6 +745,10 @@ class TestCapacityProjection:
         with pytest.raises(ValueError, match="^need a finite base_power_gw > 0") as info:
             capacity_projection(base, growth, 2)
         assert "\n" not in str(info.value)
+
+    def test_negative_years_rejected(self):
+        with pytest.raises(ValueError, match="^need a finite base_power_gw > 0.* and years >= 0$"):
+            capacity_projection(1.0, 0.22, -1)
 
     @pytest.mark.parametrize("base,growth,years", [(1.0, 1e308, 2), (1e308, 1.0, 1)])
     def test_overflowing_projection_rejected(self, base, growth, years):

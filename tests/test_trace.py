@@ -320,6 +320,12 @@ class TestRangeRules:
     def test_integer_steps_and_seeds_accepted(self, steps, seed):
         assert compare_with_means(spec(steps, seed), 0.3, 444.0).trace_total > 0.0
 
+    @pytest.mark.parametrize("embodied", [-1.0, math.inf, math.nan])
+    def test_negative_or_non_finite_embodied_rejected(self, embodied):
+        with pytest.raises(ValueError) as info:
+            compare_with_means(spec(steps=10), 0.3, embodied)
+        assert str(info.value) == "embodied must be >= 0 and finite"
+
     @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan])
     def test_gamma_outside_unit_interval_rejected(self, gamma):
         """The model's own gamma rule, as a ModelError."""

@@ -76,8 +76,11 @@ class SiteClass:
     op_full_per_node: float
 
     def __post_init__(self) -> None:
+        # counts enter float arithmetic; an int compares with a float exactly
         _require(self.site_count >= 1, "site_count must be >= 1")
+        _require(self.site_count <= sys.float_info.max, "site_count must fit a float")
         _require(self.nodes_per_site >= 1, "nodes_per_site must be >= 1")
+        _require(self.nodes_per_site <= sys.float_info.max, "nodes_per_site must fit a float")
         _require(0.0 <= self.load <= 1.0, "load must be in [0,1]")
         _require(self.embodied_per_node >= 0.0, "embodied_per_node must be >= 0")
         _require(self.embodied_per_node < math.inf, "embodied_per_node must be finite")
@@ -87,10 +90,7 @@ class SiteClass:
         # sum of this bound over both classes (op_hi, op_lo and the overhead
         # each stay below sites * nodes * op); a quarter of the float range
         # leaves room for rounding
-        try:
-            count = float(self.site_count) * float(self.nodes_per_site)
-        except OverflowError:  # an int count beyond the float range
-            count = math.inf
+        count = float(self.site_count) * float(self.nodes_per_site)
         _require(
             count * (self.embodied_per_node + 2.0 * self.op_full_per_node)
             <= sys.float_info.max / 4.0,

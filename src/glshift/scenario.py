@@ -241,30 +241,20 @@ def _number(section: dict[str, tuple[str, int]], key: str) -> float:
 def _integer(section: dict[str, tuple[str, int]], key: str) -> int:
     value, lineno = section[key]
     try:
-        number = int(value)
-        float(number)  # counts enter float arithmetic
+        return int(value)
     except ValueError:
         raise ScenarioError(f"key {key!r}: not an integer: {value!r}", lineno) from None
-    except OverflowError:
-        raise ScenarioError(f"key {key!r}: integer too large for a float", lineno) from None
-    return number
 
 
-def _range_error(exc: ModelError, *sections: dict[str, tuple[str, int]]) -> ScenarioError:
-    """A model range error, naming the file key and its line."""
+def _range_error(exc: ModelError, keys: dict[str, tuple[str, int]]) -> ScenarioError:
+    """A range error of the model object built from ``keys``, at a key's line."""
     field, _, requirement = str(exc).partition(" ")
     key = _KEY_BY_FIELD.get(field, field)
-    for section in sections:
-        if key in section:
-            return ScenarioError(f"{key} {requirement}", section[key][1])
-    # a rule that names no key (the overflow bound) is blamed on the largest
-    # number it reads; the bound reads neither load nor gamma
-    _, lineno, key = max(
-        (float(value), line, name)
-        for section in sections
-        for name, (value, line) in section.items()
-        if name not in ("load", "gamma")
-    )
+    if key in keys:
+        return ScenarioError(f"{key} {requirement}", keys[key][1])
+    # a rule that names no key (an overflow bound) is blamed on the largest
+    # number of the object's keys
+    _, lineno, key = max((float(value), line, name) for name, (value, line) in keys.items())
     return ScenarioError(f"key {key!r}: {exc}", lineno)
 
 
@@ -295,11 +285,15 @@ def _site_class(
                 header,
             )
     sites, nodes = _integer(section, "sites"), _integer(section, "nodes")
-    try:
-        if direct:
-            op = _number(section, "op_kg_per_node_year")
-        else:
+    if direct:
+        op = _number(section, "op_kg_per_node_year")
+    else:
+        try:
             op = op_full_per_node(NodePowerModel(**_numbers(section, _POWER_MODEL)))
+        except ModelError as exc:
+            keys = {key: section[key] for key in _POWER_MODEL if key in section}
+            raise _range_error(exc, keys) from exc
+    try:
         return SiteClass(
             site_count=sites,
             nodes_per_site=nodes,
@@ -308,7 +302,8 @@ def _site_class(
             op_full_per_node=op,
         )
     except ModelError as exc:
-        raise _range_error(exc, section, common) from exc
+        keys = {**section, "embodied_kg_per_node_year": common["embodied_kg_per_node_year"]}
+        raise _range_error(exc, keys) from exc
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -344,4 +339,4 @@ def load_scenario(text: str) -> ScenarioConfig:
             policy=ShiftPolicy(**_numbers(shift, _SECTIONS["shift"])),
         )
     except ModelError as exc:
-        raise _range_error(exc, common, shift) from exc
+        raise _range_error(exc, {**common, **shift}) from exc

@@ -126,15 +126,29 @@ class TestSiteClassRanges:
             dataclasses.replace(HPC_HI, **{field: value})
 
     @pytest.mark.parametrize(
-        "nodes,embodied,op",
-        [(10**300, 1e10, 1e10), (10**400, 1.0, 1.0), (1, 0.0, math.nextafter(BOUND / 2, math.inf))],
+        "nodes,embodied,op,message",
+        [
+            (10**300, 1e10, 1e10, "annual totals too large for a float"),
+            (10**400, 1.0, 1.0, "nodes_per_site must fit a float"),
+            (1, 0.0, math.nextafter(BOUND / 2, math.inf), "annual totals too large for a float"),
+        ],
         ids=["inf_totals", "int_beyond_float", "just_above_bound"],
     )
-    def test_overflowing_totals_rejected(self, nodes, embodied, op):
+    def test_overflowing_totals_rejected(self, nodes, embodied, op, message):
         """The first evaluated to an inf baseline and a NaN reduction, the
         second raised a bare OverflowError."""
-        with pytest.raises(ModelError, match=r"^annual totals too large for a float$"):
+        with pytest.raises(ModelError, match=f"^{message}$"):
             SiteClass(1, nodes, 1.0, embodied, op)
+
+    @pytest.mark.parametrize("field", ["site_count", "nodes_per_site"])
+    def test_count_must_fit_a_float(self, field):
+        """The int is compared exactly: one above float_max is rejected,
+        although float() would round it down to float_max."""
+        largest = int(sys.float_info.max)
+        empty = SiteClass(1, 1, 1.0, 0.0, 0.0)  # totals 0 at any count
+        assert getattr(dataclasses.replace(empty, **{field: largest}), field) == largest
+        with pytest.raises(ModelError, match=f"^{field} must fit a float$"):
+            dataclasses.replace(empty, **{field: largest + 1})
 
     def test_totals_at_the_bound_accepted(self):
         hi = SiteClass(1, 1, 1.0, 0.0, BOUND / 2)
@@ -454,6 +468,10 @@ class TestIdealReduction:
     def test_load_outside_unit_interval_rejected(self, load):
         with pytest.raises(ModelError, match=r"^load must be in \[0,1\]$"):
             ideal_reduction(369.0, 211.0, load)
+
+    @pytest.mark.parametrize("c_hi,c_lo,expected", [(369.0, 0.0, 1.0), (0.0, 211.0, -1.0)])
+    def test_zero_intensity_accepted(self, c_hi, c_lo, expected):
+        assert ideal_reduction(c_hi, c_lo, 0.3) == expected
 
     @given(load=st.floats(0.0, 0.5))
     def test_plateau_below_half_load(self, load):

@@ -128,6 +128,10 @@ class TestSolarBeta:
         beta = solar_beta(self.PROFILES, always_low_count=3, overlap_factor=5.0 / 8.0)
         assert beta == pytest.approx(0.52, abs=0.005)
 
+    def test_defaults(self):
+        """No always-low regions and no overlap penalty: the mean availability."""
+        assert solar_beta(self.PROFILES) == pytest.approx((1524 + 2627 + 1665) / (3 * 2920))
+
     def test_full_sunshine(self):
         sunny = [
             RegionProfile("a", 100.0, 10.0, sunshine_hours_per_year=2920.0),
@@ -190,6 +194,12 @@ class TestWindBeta:
     def test_lower_load_factor(self):
         assert wind_beta(0.5, 0.30, 0.10) == pytest.approx(0.54, abs=0.005)
 
+    def test_default_penalty_is_zero(self):
+        assert wind_beta(0.5, 0.35) == pytest.approx(0.7)
+
+    def test_ideal_of_one_accepted(self):
+        assert wind_beta(1.0, 0.35, 0.1) == pytest.approx(0.315)
+
     def test_zero_ideal_rejected(self):
         with pytest.raises(ScenarioError):
             wind_beta(0.0, 0.0, 0.0)
@@ -237,6 +247,10 @@ class TestNodesFromPowerBudget:
     def test_budget_below_one_node(self):
         model = NodePowerModel(4550.0, 1.16, 41.0)
         assert nodes_from_power_budget(1000.0, model) == 0
+
+    def test_budget_below_one_watt_accepted(self):
+        model = NodePowerModel(4550.0, 1.16, 41.0)
+        assert nodes_from_power_budget(0.5, model) == 0
 
     def test_network_overhead_counts(self):
         """Leaving nu out gave 56,840 nodes, a 330 MW draw."""
@@ -486,19 +500,20 @@ class TestLoadScenario:
         assert info.value.line == lineno
 
     @pytest.mark.parametrize(
-        "key,value",
+        "key,value,message",
         [
-            ("sites", "1" + "0" * 400),
-            ("nodes", "1" + "0" * 400),
-            # without _integer's float check, the overflow bound blamed op_kg_per_node_year
-            ("sites", "-1" + "0" * 400),
-            ("nodes", "-1" + "0" * 400),
+            ("sites", "1" + "0" * 400, "sites must fit a float"),
+            ("nodes", "1" + "0" * 400, "nodes must fit a float"),
+            # SiteClass checks >= 1 before the fit; the overflow bound once
+            # blamed op_kg_per_node_year for these
+            ("sites", "-1" + "0" * 400, "sites must be >= 1"),
+            ("nodes", "-1" + "0" * 400, "nodes must be >= 1"),
         ],
         ids=["sites", "nodes", "sites-negative", "nodes-negative"],
     )
-    def test_count_beyond_float_range_reports_line(self, key, value):
+    def test_count_beyond_float_range_reports_line(self, key, value, message):
         bad, lineno = scenario_with("hi", key, value)
-        with pytest.raises(ScenarioError, match=rf"^line {lineno}: key '{key}'") as info:
+        with pytest.raises(ScenarioError, match=rf"^line {lineno}: {re.escape(message)}$") as info:
             load_scenario(bad)
         assert info.value.line == lineno
 
@@ -528,6 +543,15 @@ class TestLoadScenario:
         bad, lineno = scenario_with("lo", "node_power_w", "1e308")
         bad = bad.replace("[lo]\nsites = 1\nnodes = 10", f"[lo]\nsites = {sites}\nnodes = {nodes}")
         with pytest.raises(ScenarioError, match=rf"^line {lineno}: key 'node_power_w': annual"):
+            load_scenario(bad)
+
+    def test_overflowing_power_model_blamed_on_its_own_keys(self):
+        """The largest number of the whole class, sites = 10^300, was blamed."""
+        bad, _ = scenario_with("lo", "sites", "1" + "0" * 300)
+        bad = bad.replace("ci_g_per_kwh = 41", "ci_g_per_kwh = 1e200")
+        bad = bad.replace("node_power_w = 1200", "node_power_w = 1e200")
+        message = "line 15: key 'node_power_w': annual totals too large for a float"
+        with pytest.raises(ScenarioError, match=f"^{message}$"):
             load_scenario(bad)
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])

@@ -583,6 +583,11 @@ class TestGridBound:
         spec = SweepSpec(base=read_bundled("table2_s1"), step=1.0 / (MAX_GRID_POINTS - 1))
         assert spec.step > 0.0  # constructed only: the grid itself is not built
 
+    def test_largest_grid_from_a_later_start_accepted(self):
+        """The cap counts the intervals of stop - start, not of stop + start."""
+        spec = SweepSpec(base=read_bundled("table2_s1"), start=0.5, stop=1.0, step=5e-7)
+        assert spec.step > 0.0  # constructed only: 1,000,000 intervals
+
     # 1,000,000.7 intervals pass the first comparison and round to 1,000,001
     @pytest.mark.parametrize(
         "step", [1e-12, 5e-324, 0.9 / (MAX_GRID_POINTS - 1), 1 / 1_000_000.7]
@@ -750,9 +755,11 @@ class TestCapacityProjection:
         with pytest.raises(ValueError, match="^need a finite base_power_gw > 0.* and years >= 0$"):
             capacity_projection(1.0, 0.22, -1)
 
-    @pytest.mark.parametrize("base,growth,years", [(1.0, 1e308, 2), (1e308, 1.0, 1)])
+    @pytest.mark.parametrize(
+        "base,growth,years", [(1.0, 1e308, 2), (1e308, 1.0, 1), (1e308, 0.0, 0)]
+    )
     def test_overflowing_projection_rejected(self, base, growth, years):
-        """(1 + 1e308) ** 2 raised OverflowError."""
+        """(1 + 1e308) ** 2 raised OverflowError; 1e308 GW is finite, its TWh are not."""
         with pytest.raises(ValueError, match="^projected capacity is too large for a float$"):
             capacity_projection(base, growth, years)
 

@@ -320,6 +320,15 @@ class TestRangeRules:
     def test_integer_steps_and_seeds_accepted(self, steps, seed):
         assert compare_with_means(spec(steps, seed), 0.3, 444.0).trace_total > 0.0
 
+    @pytest.mark.parametrize(
+        "load_dist,embodied",
+        [(Uniform(0.0, 1.0), 444.0), (DEFAULT_LOAD, 0.0)],
+        ids=["zero_load", "zero_embodied"],
+    )
+    def test_zero_lower_bound_accepted(self, load_dist, embodied):
+        trace = TraceSpec(steps=10, seed=1, load_dist=load_dist, ci_dist=DEFAULT_CI)
+        assert compare_with_means(trace, 0.3, embodied).trace_total > 0.0
+
     @pytest.mark.parametrize("embodied", [-1.0, math.inf, math.nan])
     def test_negative_or_non_finite_embodied_rejected(self, embodied):
         with pytest.raises(ValueError) as info:

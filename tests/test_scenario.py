@@ -504,8 +504,7 @@ class TestLoadScenario:
         [
             ("sites", "1" + "0" * 400, "sites must fit a float"),
             ("nodes", "1" + "0" * 400, "nodes must fit a float"),
-            # SiteClass checks >= 1 before the fit; the overflow bound once
-            # blamed op_kg_per_node_year for these
+            # SiteClass checks >= 1 before the fit
             ("sites", "-1" + "0" * 400, "sites must be >= 1"),
             ("nodes", "-1" + "0" * 400, "nodes must be >= 1"),
         ],

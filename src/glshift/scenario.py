@@ -5,11 +5,15 @@ The scenario file format is plain UTF-8 text, line oriented:
 comment.  Sections are ``scenario``, ``hi``, ``lo``, ``common`` and
 ``shift``.  Each site class gives either ``op_kg_per_node_year``
 directly, or ``ci_g_per_kwh`` + ``node_power_w`` + ``pue`` to derive it.
+
+The parser reports errors in the text; every rule on a number is the
+model's, reported at the line of the key that the rule names.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, fields
 
 from .model import (
@@ -193,6 +197,16 @@ _REQUIRED = {
 _KEY_BY_FIELD = {field: key for keys in _SECTIONS.values() for key, field in keys.items()}
 
 
+_QUOTE_LIMIT = 40  # characters of the file's text that an error quotes
+
+
+def _quote(text: str, form: str = "{!r}") -> str:
+    """``text`` quoted in ``form`` for an error, cut after _QUOTE_LIMIT characters."""
+    if len(text) <= _QUOTE_LIMIT:
+        return form.format(text)
+    return f"{form.format(text[:_QUOTE_LIMIT])}... ({len(text)} characters)"
+
+
 def _parse_sections(
     text: str,
 ) -> tuple[dict[str, dict[str, tuple[str, int]]], dict[str, int]]:
@@ -207,7 +221,7 @@ def _parse_sections(
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
             if name not in _SECTIONS:
-                raise ScenarioError(f"unknown section [{name}]", lineno)
+                raise ScenarioError(f"unknown section {_quote(name, '[{}]')}", lineno)
             if name in sections:
                 raise ScenarioError(f"duplicate section [{name}]", lineno)
             sections[name] = {}
@@ -215,12 +229,12 @@ def _parse_sections(
             current = name
             continue
         if "=" not in line:
-            raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
+            raise ScenarioError(f"expected 'key = value', got {_quote(line)}", lineno)
         if current is None:
             raise ScenarioError("key before any [section] header", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTIONS[current]:
-            raise ScenarioError(f"unknown key {key!r} in section [{current}]", lineno)
+            raise ScenarioError(f"unknown key {_quote(key)} in section [{current}]", lineno)
         if key in sections[current]:
             raise ScenarioError(f"duplicate key {key!r}", lineno)
         sections[current][key] = (value, lineno)
@@ -230,20 +244,28 @@ def _parse_sections(
 def _number(section: dict[str, tuple[str, int]], key: str) -> float:
     value, lineno = section[key]
     try:
-        number = float(value)
+        return float(value)
     except ValueError:
-        raise ScenarioError(f"key {key!r}: not a number: {value!r}", lineno) from None
-    if not math.isfinite(number):
-        raise ScenarioError(f"key {key!r}: not a finite number: {value!r}", lineno)
-    return number
+        raise ScenarioError(f"key {key!r}: not a number: {_quote(value)}", lineno) from None
 
 
-def _integer(section: dict[str, tuple[str, int]], key: str) -> int:
+def _integer(section: dict[str, tuple[str, int]], key: str) -> int | float:
     value, lineno = section[key]
     try:
         return int(value)
     except ValueError:
-        raise ScenarioError(f"key {key!r}: not an integer: {value!r}", lineno) from None
+        if not re.fullmatch(r"[+-]?\d+(?:_\d+)*", value):  # what int() reads, at any length
+            raise ScenarioError(f"key {key!r}: not an integer: {_quote(value)}", lineno) from None
+    # int() reads at most sys.get_int_max_str_digits() digits.  A longer
+    # integer is +-inf as a float, for the count rule to judge, unless
+    # leading zeros make it long; Decimal reads that one exactly (building
+    # the int of a huge one would take time quadratic in its digits)
+    number = float(value)
+    if math.isinf(number):
+        return number
+    from decimal import Decimal
+
+    return int(Decimal(value))
 
 
 def _range_error(exc: ModelError, keys: dict[str, tuple[str, int]]) -> ScenarioError:

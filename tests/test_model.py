@@ -8,10 +8,11 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from glshift import (
+    EmissionsReport,
     ModelError,
     NodePowerModel,
     ShiftPolicy,
@@ -415,10 +416,42 @@ def exact_reduction(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPol
     return beta * (baseline - gls) / baseline
 
 
+# a fraction in [0, 1], zero or at least 1e-6, so that no product is subnormal
+FRACTIONS = st.just(0.0) | st.floats(1e-6, 1.0)
+PER_NODE = st.just(0.0) | st.floats(1e-3, 1e4)  # kgCO2e per node-year
+
+
+@st.composite
+def kernel_inputs(draw, cancelling: bool = False):
+    """Arguments of blended_emissions, well inside the totals bound.
+
+    With ``cancelling``, half the draws give both classes the same nodes
+    per site and full-load op one ulp apart, so that the shifted and the
+    baseline totals nearly cancel."""
+    nodes_hi, nodes_lo = draw(st.integers(1, 1000)), draw(st.integers(1, 1000))
+    op_hi, op_lo = draw(PER_NODE), draw(PER_NODE)
+    if cancelling and draw(st.booleans()):
+        nodes_lo, op_hi = nodes_hi, draw(st.floats(1e-3, 1e4))
+        op_lo = math.nextafter(op_hi, draw(st.sampled_from([0.0, math.inf])))
+    hi = SiteClass(draw(st.integers(1, 1000)), nodes_hi, draw(FRACTIONS), draw(PER_NODE), op_hi)
+    lo = SiteClass(draw(st.integers(1, 1000)), nodes_lo, draw(FRACTIONS), draw(PER_NODE), op_lo)
+    eta = draw(st.just(0.0) | st.floats(1e-6, 0.5))
+    return hi, lo, draw(FRACTIONS), ShiftPolicy(draw(FRACTIONS), draw(FRACTIONS), eta)
+
+
 def assert_near_exact(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> None:
     exact = exact_reduction(hi, lo, gamma, policy)
     reduction = blended_emissions(hi, lo, gamma, policy).reduction
     assert abs(Fraction(reduction) - exact) <= Fraction(1e-14) * abs(exact)
+
+
+# equal nodes per site, full-load op one ulp apart: exact +1.45e-17, kernel -1.35e-16
+NEARLY_EQUAL_TOTALS = (
+    SiteClass(4, 51, 0.2762566345594576, 240.1691732768344, 539.1042868074098),
+    SiteClass(2, 51, 0.13857584565674025, 856.985459847769, 539.1042868074097),
+    0.32989200684539166,
+    ShiftPolicy(0.8368543330842746, 0.8749170161276372, 0.0),
+)
 
 
 class TestExactReference:
@@ -435,10 +468,69 @@ class TestExactReference:
         "-1.35e-16; forming it from the saving (ROADMAP item 2, step 2) fixes the sign",
     )
     def test_nearly_equal_totals_keep_their_sign(self):
-        hi = SiteClass(4, 51, 0.2762566345594576, 240.1691732768344, 539.1042868074098)
-        lo = SiteClass(2, 51, 0.13857584565674025, 856.985459847769, 539.1042868074097)
-        policy = ShiftPolicy(0.8368543330842746, 0.8749170161276372, 0.0)
-        assert_near_exact(hi, lo, 0.32989200684539166, policy)
+        assert_near_exact(*NEARLY_EQUAL_TOTALS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_inputs(cancelling=True))
+    @example(case=NEARLY_EQUAL_TOTALS)
+    def test_reduction_error_bound(self, case):
+        """The reduction is off by at most 8 units of 2^-53 of the two totals
+        that the kernel subtracts, over the baseline; the xfail case, whose
+        sign is wrong, is within 0.7 units."""
+        report = blended_emissions(*case)
+        assume(report.baseline_total > 0.0)
+        error = abs(Fraction(report.reduction) - exact_reduction(*case))
+        bound = (
+            8 * Fraction(2) ** -53
+            * (Fraction(report.baseline_total) + Fraction(report.blended_total))
+            / Fraction(report.baseline_total)
+        )
+        assert error <= bound
+
+
+TOTALS = ["embodied_total", "op_hi", "op_lo", "overhead", "baseline_total", "gls_total",
+          "blended_total"]
+
+
+def assert_scaled(report: EmissionsReport, scaled: EmissionsReport, factor: float) -> None:
+    """Every total multiplied by exactly ``factor``; the ratios bit-identical."""
+    for name in TOTALS:
+        assert getattr(scaled, name) == getattr(report, name) * factor, name
+    for name in ("alpha_eff", "reduction"):
+        before, after = getattr(report, name), getattr(scaled, name)
+        assert after == before or (math.isnan(after) and math.isnan(before)), name
+
+
+class TestScalingLaws:
+    """Exact metamorphic properties of the kernel (ROADMAP item 12): a power
+    of two scales every total without rounding, away from subnormals and
+    the float range's top."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_inputs(), k=st.integers(-20, 20))
+    def test_per_node_emissions_scale_every_total(self, case, k):
+        hi, lo, gamma, policy = case
+        factor = 2.0**k
+        scaled = [
+            dataclasses.replace(
+                c,
+                embodied_per_node=c.embodied_per_node * factor,
+                op_full_per_node=c.op_full_per_node * factor,
+            )
+            for c in (hi, lo)
+        ]
+        assert_scaled(
+            blended_emissions(*case), blended_emissions(*scaled, gamma, policy), factor
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_inputs(), m=st.integers(0, 10))
+    def test_site_counts_scale_every_total(self, case, m):
+        hi, lo, gamma, policy = case
+        scaled = [dataclasses.replace(c, site_count=c.site_count * 2**m) for c in (hi, lo)]
+        assert_scaled(
+            blended_emissions(*case), blended_emissions(*scaled, gamma, policy), 2.0**m
+        )
 
 
 class TestIdealReduction:

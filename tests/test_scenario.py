@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glshift import (
+    ModelError,
     NodePowerModel,
     RegionProfile,
     ScenarioConfig,
@@ -359,6 +360,26 @@ def scenario_with(section: str, key: str, value: str) -> tuple[str, int]:
     return "\n".join(lines) + "\n", index + 1
 
 
+# VALID_SCENARIO with every float key: [hi] direct, [lo] derived
+WITH_NU = VALID_SCENARIO.replace("pue = 1.1\n", "pue = 1.1\nnu = 0\n")
+VALID_CONFIG = load_scenario(WITH_NU)
+LO_POWER_MODEL = NodePowerModel(1200.0, 1.1, 41.0)
+# each float key -> a valid model object that the key builds, and its field
+FLOAT_KEYS = {
+    "load": (VALID_CONFIG.hi, "load"),
+    "op_kg_per_node_year": (VALID_CONFIG.hi, "op_full_per_node"),
+    "embodied_kg_per_node_year": (VALID_CONFIG.hi, "embodied_per_node"),
+    "ci_g_per_kwh": (LO_POWER_MODEL, "carbon_intensity"),
+    "node_power_w": (LO_POWER_MODEL, "active_power"),
+    "pue": (LO_POWER_MODEL, "pue"),
+    "nu": (LO_POWER_MODEL, "network_overhead_fraction"),
+    "gamma": (VALID_CONFIG, "gamma"),
+    "alpha": (VALID_CONFIG.policy, "alpha"),
+    "beta": (VALID_CONFIG.policy, "beta"),
+    "eta": (VALID_CONFIG.policy, "eta"),
+}
+
+
 class TestLoadScenario:
     def test_bundled_table1_solar(self):
         config = read_bundled("table1_solar")
@@ -405,10 +426,27 @@ class TestLoadScenario:
             (VALID_SCENARIO.replace("nodes = 10", "load = 0.3", 1), "line 7: duplicate key 'load'"),
             (VALID_SCENARIO.replace("[hi]", "[hi"), "line 4: expected 'key = value', got '[hi'"),
             (VALID_SCENARIO.replace("[hi]", "hi]"), "line 4: expected 'key = value', got 'hi]'"),
+            # a quote of the file's text is cut after 40 characters
+            (
+                VALID_SCENARIO.replace("[hi]", "[hi" + "x" * 40),
+                f"line 4: expected 'key = value', got '[hi{'x' * 37}'... (43 characters)",
+            ),
+            (
+                VALID_SCENARIO + "[" + "s" * 41 + "]\n",
+                f"line 26: unknown section [{'s' * 40}]... (41 characters)",
+            ),
+            (
+                VALID_SCENARIO.replace("eta = 0.01", "k" * 41 + " = 1"),
+                f"line 25: unknown key '{'k' * 40}'... (41 characters) in section [shift]",
+            ),
+            (
+                VALID_SCENARIO + "[" + "s" * 40 + "]\n",
+                f"line 26: unknown section [{'s' * 40}]",
+            ),
         ],
         ids=[
             "duplicate_section", "key_before_section", "duplicate_key", "header_without_close",
-            "header_without_open",
+            "header_without_open", "long_line", "long_section", "long_key", "section_of_40",
         ],
     )
     def test_misplaced_line_reports_line(self, text, message):
@@ -492,6 +530,29 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"line \d+"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "section,key,value,message",
+        [
+            ("common", "gamma", "x" * 41, f"not a number: '{'x' * 40}'... (41 characters)"),
+            ("common", "gamma", "x" * 40, f"not a number: '{'x' * 40}'"),
+            ("hi", "nodes", "1.5" * 14, f"not an integer: '{'1.5' * 13}1'... (42 characters)"),
+            # int() stops at its digit limit before it reads the trailing x
+            ("hi", "nodes", "1" * 4301 + "x", f"not an integer: '{'1' * 40}'... (4302 characters)"),
+        ],
+        ids=["number", "number_of_40", "integer", "integer_beyond_digit_limit"],
+    )
+    def test_value_quote_cut_after_40_characters(self, section, key, value, message):
+        bad, lineno = scenario_with(section, key, value)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(bad)
+        assert str(info.value) == f"line {lineno}: key {key!r}: {message}"
+
+    @pytest.mark.parametrize("zeros", ["0" * 4300, "0_" * 4300])
+    def test_count_beyond_int_digit_limit_read_exactly(self, zeros):
+        """Leading zeros make a small count longer than int() reads."""
+        bad, _ = scenario_with("hi", "nodes", zeros + "12345678901234567891")
+        assert load_scenario(bad).hi.nodes_per_site == 12345678901234567891
+
     @pytest.mark.parametrize("section,key,value,message", RANGE_CASES)
     def test_out_of_range_reports_line(self, section, key, value, message):
         bad, lineno = scenario_with(section, key, value)
@@ -507,8 +568,14 @@ class TestLoadScenario:
             # SiteClass checks >= 1 before the fit
             ("sites", "-1" + "0" * 400, "sites must be >= 1"),
             ("nodes", "-1" + "0" * 400, "nodes must be >= 1"),
+            # more digits than int() reads (sys.get_int_max_str_digits)
+            ("nodes", "1" + "0" * 4300, "nodes must fit a float"),
+            ("nodes", "-1" + "0" * 4300, "nodes must be >= 1"),
         ],
-        ids=["sites", "nodes", "sites-negative", "nodes-negative"],
+        ids=[
+            "sites", "nodes", "sites-negative", "nodes-negative", "nodes-4301-digits",
+            "nodes-4301-digits-negative",
+        ],
     )
     def test_count_beyond_float_range_reports_line(self, key, value, message):
         bad, lineno = scenario_with("hi", key, value)
@@ -553,17 +620,28 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=f"^{message}$"):
             load_scenario(bad)
 
-    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999", "-1e999"])
     @pytest.mark.parametrize(
         "line",
-        ["op_kg_per_node_year = 5000", "ci_g_per_kwh = 41", "gamma = 0.3", "beta = 0.8"],
+        [
+            "op_kg_per_node_year = 5000", "ci_g_per_kwh = 41", "gamma = 0.3", "beta = 0.8",
+            "load = 0.8", "load = 0.5", "node_power_w = 1200", "pue = 1.1", "nu = 0",
+            "embodied_kg_per_node_year = 444", "alpha = 0.5", "eta = 0.01",
+        ],
     )
     def test_non_finite_number_reports_line(self, line, value):
+        """The parser reads inf and nan as numbers; the model object that the
+        key builds rejects them, in its own words, at the key's line."""
         key = line.split(" = ")[0]
-        bad = VALID_SCENARIO.replace(line, f"{key} = {value}")
+        bad = WITH_NU.replace(line, f"{key} = {value}")
         lineno = bad.splitlines().index(f"{key} = {value}") + 1
-        with pytest.raises(ScenarioError, match=rf"^line {lineno}: .*not a finite number") as info:
+        model_object, field = FLOAT_KEYS[key]
+        with pytest.raises(ModelError) as rule:
+            dataclasses.replace(model_object, **{field: float(value)})
+        requirement = str(rule.value).removeprefix(f"{field} ")
+        with pytest.raises(ScenarioError) as info:
             load_scenario(bad)
+        assert str(info.value) == f"line {lineno}: {key} {requirement}"
         assert info.value.line == lineno
 
 

@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .model import EmissionsReport, blended_emissions
-from .scenario import ScenarioConfig, load_scenario
+from .scenario import ScenarioConfig, ScenarioError, load_scenario
 from .sweeps import (
     SWEEP_PARAMETERS, VARIANTS, SweepSpec, kink_location, run_sweep, years_compensated,
 )
@@ -43,7 +43,14 @@ def _read_scenario(path_arg: str) -> ScenarioConfig:
         if builtin is None:
             raise FileNotFoundError(f"scenario file not found: {path_arg}")
         path = builtin
-    return load_scenario(path.read_text(encoding="utf-8-sig"))
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # the bad byte's line, counted as load_scenario counts lines; the
+        # codec's object and offset leave out a byte-order mark
+        before = exc.object[: exc.start].decode("utf-8")
+        raise ScenarioError("not UTF-8 text", len((before + "?").splitlines())) from None
+    return load_scenario(text)
 
 
 def evaluate_results(report: EmissionsReport) -> list[tuple[str, str | None, float]]:

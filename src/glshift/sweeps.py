@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .model import _emissions
-from .scenario import ScenarioConfig
 
 # numpy is imported inside the functions that make arrays, so that
-# `gls evaluate` and `gls growth` never pay for loading it
+# `gls evaluate` and `gls growth` never pay for loading it; scenario is
+# named only in annotations, so that `import glshift.sweeps` skips it
 if TYPE_CHECKING:
     import numpy as np
+
+    from .scenario import ScenarioConfig
 
 # variant -> whether it keeps (embodied carbon, idle power, time constraints)
 _KEEPS = {

@@ -31,25 +31,49 @@ def run(capsys, *argv: str) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+# scenario files that are not UTF-8 text
+NOT_UTF8 = {
+    "ff_line_1": b"\xff",
+    "ff_line_3": b"[scenario]\nname = x\n\xff",
+    "ff_after_bom": b"\xef\xbb\xbf[scenario]\nname = \xffx\n",
+    "cut_after_crlf": b"[scenario]\r\n\r\nname = x\xe2\x82",
+}
+
+
 class TestExitCodes:
     """The documented codes as literals, so that a changed constant fails."""
 
     @pytest.mark.parametrize(
-        "argv,expected",
+        "argv,expected,error",
         [
-            (["growth", "--reduction", "0.5", "--growth", "0.22"], 0),
-            (["evaluate", "{bad}"], 1),
-            (["evaluate", "/no/such/file.scenario"], 2),
-            (["oracle", "--correlated"], 3),
+            (["growth", "--reduction", "0.5", "--growth", "0.22"], 0, None),
+            (["evaluate", "{bad}"], 1, None),
+            (["evaluate", "/no/such/file.scenario"], 2, None),
+            (["oracle", "--correlated"], 3, None),
+            # a byte that is not UTF-8 gave the codec's message, with a byte
+            # offset and no line
+            (["evaluate", "{ff_line_1}"], 1, "line 1: not UTF-8 text"),
+            (["evaluate", "{ff_line_3}"], 1, "line 3: not UTF-8 text"),
+            (["evaluate", "{ff_after_bom}"], 1, "line 2: not UTF-8 text"),
+            (["evaluate", "{cut_after_crlf}"], 1, "line 3: not UTF-8 text"),
         ],
-        ids=["ok", "validation", "io", "statistical"],
+        ids=[
+            "ok", "validation", "io", "statistical",
+            "not-utf8-line-1", "not-utf8-line-3", "not-utf8-after-bom", "not-utf8-cut-after-crlf",
+        ],
     )
-    def test_documented_exit_code(self, tmp_path, capsys, argv, expected):
+    def test_documented_exit_code(self, tmp_path, capsys, argv, expected, error):
         bad = tmp_path / "bad.scenario"
         text = builtin_scenario_path("table2_s1").read_text(encoding="utf-8")
         bad.write_text(text.replace("load = 1.0", "load = abc", 1), encoding="utf-8")
-        code, _, _ = run(capsys, *(arg.format(bad=bad) for arg in argv))
+        paths = {"bad": bad}
+        for name, data in NOT_UTF8.items():
+            paths[name] = tmp_path / f"{name}.scenario"
+            paths[name].write_bytes(data)
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
         assert code == expected
+        if error is not None:
+            assert (out, err) == ("", f"error: {error}\n")
 
 
 class TestRounding:

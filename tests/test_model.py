@@ -393,9 +393,10 @@ class TestBlendedEmissions:
         assert abs(report.reduction) < 1e-12
 
 
-def exact_reduction(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> Fraction:
-    """The model's reduction in exact rational arithmetic: each term of the
-    kernel, computed from the exact values of the inputs without rounding."""
+def exact_report(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> dict:
+    """The model in exact rational arithmetic: each field of the kernel's
+    EmissionsReport as a Fraction, computed from the exact values of the
+    inputs without rounding.  The reduction is None for a zero baseline."""
     gamma, alpha, beta, eta = map(Fraction, (gamma, policy.alpha, policy.beta, policy.eta))
     n_hi, n_lo = hi.site_count, lo.site_count
     load_hi, load_lo = Fraction(hi.load), Fraction(lo.load)
@@ -409,11 +410,25 @@ def exact_reduction(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPol
     busy, free = n_hi * load_hi, n_lo * (1 - load_lo)
     alpha_eff = min(alpha, free / busy) if busy else alpha
     new_lo = min(Fraction(1), load_lo + alpha_eff * busy / n_lo)
+    op_hi, op_lo = op(n_hi, op_hi_site, load_hi * (1 - alpha_eff)), op(n_lo, op_lo_site, new_lo)
     overhead = eta * alpha_eff * (n_hi * op_hi_site + n_lo * op_lo_site)
     baseline = embodied + op(n_hi, op_hi_site, load_hi) + op(n_lo, op_lo_site, load_lo)
-    gls = embodied + op(n_hi, op_hi_site, load_hi * (1 - alpha_eff)) + op(n_lo, op_lo_site, new_lo)
-    gls += overhead
-    return beta * (baseline - gls) / baseline
+    gls = embodied + op_hi + op_lo + overhead
+    return {
+        "embodied_total": embodied,
+        "op_hi": op_hi,
+        "op_lo": op_lo,
+        "overhead": beta * overhead,
+        "baseline_total": baseline,
+        "gls_total": gls,
+        "blended_total": beta * gls + (1 - beta) * baseline,
+        "alpha_eff": alpha_eff,
+        "reduction": beta * (baseline - gls) / baseline if baseline else None,
+    }
+
+
+def exact_reduction(hi: SiteClass, lo: SiteClass, gamma: float, policy: ShiftPolicy) -> Fraction:
+    return exact_report(hi, lo, gamma, policy)["reduction"]
 
 
 # a fraction in [0, 1], zero or at least 1e-6, so that no product is subnormal
@@ -454,6 +469,22 @@ NEARLY_EQUAL_TOTALS = (
 )
 
 
+TOTALS = ["embodied_total", "op_hi", "op_lo", "overhead", "baseline_total", "gls_total",
+          "blended_total"]
+
+
+# the high side's 0.3 load against 0.2999999 of free capacity on the low
+# side: alpha_eff = 0.9999997, and the high side keeps 3.3e-7 of its load
+ALPHA_EFF_NEAR_ONE = (
+    SiteClass(1, 10, 0.3, 0.0, 100.0),
+    SiteClass(1, 10, 0.7000001, 0.0, 100.0),
+    0.0,
+    ShiftPolicy(1.0, 1.0, 0.0),
+)
+# op_hi and the totals that hold it, whose error scales with the unshifted op_hi
+HOLD_OP_HI = {"op_hi", "gls_total", "blended_total"}
+
+
 class TestExactReference:
     """The kernel's reduction against the exact model (ROADMAP item 2)."""
 
@@ -487,9 +518,23 @@ class TestExactReference:
         )
         assert error <= bound
 
-
-TOTALS = ["embodied_total", "op_hi", "op_lo", "overhead", "baseline_total", "gls_total",
-          "blended_total"]
+    @settings(max_examples=300, deadline=None)
+    @given(case=kernel_inputs(cancelling=True))
+    @example(case=NEARLY_EQUAL_TOTALS)
+    @example(case=ALPHA_EFF_NEAR_ONE)
+    def test_report_field_error_bound(self, case):
+        """Each total and alpha_eff is off by at most 8 units of 2^-53 of its
+        exact value; op_hi, gls_total and blended_total of their exact value
+        plus the high side's unshifted op.  The shifted high load is
+        load_hi * (1 - alpha_eff), which cancels as alpha_eff nears 1: in
+        ALPHA_EFF_NEAR_ONE op_hi is off by 1e6 units of itself."""
+        report, exact = blended_emissions(*case), exact_report(*case)
+        hi, lo, gamma, policy = case
+        unshifted_hi = exact_report(hi, lo, gamma, dataclasses.replace(policy, alpha=0.0))["op_hi"]
+        for name in TOTALS + ["alpha_eff"]:
+            scale = exact[name] + (unshifted_hi if name in HOLD_OP_HI else 0)
+            error = abs(Fraction(getattr(report, name)) - exact[name])
+            assert error <= 8 * Fraction(2) ** -53 * scale, name
 
 
 def assert_scaled(report: EmissionsReport, scaled: EmissionsReport, factor: float) -> None:

@@ -486,7 +486,7 @@ HOLD_OP_HI = {"op_hi", "gls_total", "blended_total"}
 
 
 class TestExactReference:
-    """The kernel's reduction against the exact model (ROADMAP item 2)."""
+    """The kernel's report against the exact model (ROADMAP item 2)."""
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_bundled_scenario_reduction(self, name):
